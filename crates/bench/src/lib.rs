@@ -1286,38 +1286,6 @@ pub fn experiment_e10(quick: bool) -> E10Outcome {
     }
 }
 
-/// Minimum Pearson correlation the E11 gate demands between simulated
-/// charged transfers and measured real disk block I/O across the sweep. The
-/// buffer pool replays the simulator's LRU policy decision for decision, so
-/// the measured value should be ≈ 1.0; 0.9 is the gate's floor.
-pub const E11_MIN_CORRELATION: f64 = 0.9;
-
-/// Pearson correlation coefficient of the paired samples `(xs[i], ys[i])`.
-/// Returns 1.0 for degenerate inputs (fewer than two points, or a
-/// zero-variance side) *only* when the two sides are exactly equal —
-/// otherwise 0.0 — so a constant-but-matching sweep cannot fake a pass.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len());
-    let n = xs.len() as f64;
-    if xs.len() < 2 {
-        return if xs == ys { 1.0 } else { 0.0 };
-    }
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (&x, &y) in xs.iter().zip(ys) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx) * (x - mx);
-        vy += (y - my) * (y - my);
-    }
-    if vx == 0.0 || vy == 0.0 {
-        return if xs == ys { 1.0 } else { 0.0 };
-    }
-    cov / (vx.sqrt() * vy.sqrt())
-}
-
 /// Everything the E11 sim-vs-disk sweep produced.
 pub struct E11Outcome {
     /// One row per `(E, algorithm)` sweep point: triangles, simulated
@@ -1329,13 +1297,11 @@ pub struct E11Outcome {
     /// for measured wall-clock next to simulated I/O), so `BENCH_E11.json`
     /// is reproducible in its counts but not byte-stable in its timings.
     pub timing: Vec<Row>,
-    /// The measured Pearson r between simulated transfers and real disk I/O.
-    pub correlation: f64,
-    /// Gate verdicts: `DISK_PARITY` and `E11_CORRELATION`.
+    /// Gate verdicts: `DISK_PARITY` and `E11_REAL_EQUALS_CHARGED`.
     pub gates: Vec<GateOutcome>,
 }
 
-/// **E11 — sim-vs-disk correlation.** Runs an E1-style size sweep of all
+/// **E11 — sim vs disk.** Runs an E1-style size sweep of all
 /// three paper algorithms twice — once on the pure in-memory simulator, once
 /// genuinely out-of-core on the file-backed [`BackendKind::Disk`] plane —
 /// plus sharded runs at `P ∈ {1, 4}`, and holds the pair to two gates:
@@ -1344,11 +1310,10 @@ pub struct E11Outcome {
 ///   any divergence in the triangle multiset, the charged read/write
 ///   counts, or the logical transfer count between the two backends is a
 ///   hard failure;
-/// * **`E11_CORRELATION`** — Pearson r between simulated charged transfers
-///   and measured real device block I/O across the sweep must be at least
-///   [`E11_MIN_CORRELATION`]. (By construction the pool performs exactly
-///   one real read per charged read and one real write per charged write,
-///   so r should come out ≈ 1.0; the gate guards the construction.)
+/// * **`E11_REAL_EQUALS_CHARGED`** — at every sequential sweep point the
+///   disk machine's executed device reads equal its charged reads, and its
+///   device writes equal its charged writes (whole-machine counters on both
+///   sides). Any extra, missing or misdirected device transfer fails it.
 pub fn experiment_e11(quick: bool) -> E11Outcome {
     let sizes: &[usize] = if quick {
         &[1_000, 2_000, 4_000]
@@ -1360,8 +1325,7 @@ pub fn experiment_e11(quick: bool) -> E11Outcome {
     let mut rows = Vec::new();
     let mut timing = Vec::new();
     let mut parity: Result<(), String> = Ok(());
-    let mut sim_points = Vec::new();
-    let mut real_points = Vec::new();
+    let mut real_equals_charged: Result<(), String> = Ok(());
     let record = |slot: &mut Result<(), String>, err: String| {
         if slot.is_ok() {
             *slot = Err(err);
@@ -1428,14 +1392,20 @@ pub fn experiment_e11(quick: bool) -> E11Outcome {
                 );
             }
 
-            // --- Correlation points: whole-machine charged transfers vs
-            // whole-run real device ops (both include the load phase, so
-            // they are the same coverage). ---
-            let sim_total = disk.io().total() as f64;
+            // --- E11_REAL_EQUALS_CHARGED: whole-machine charged transfers
+            // vs whole-run real device ops (both include the load phase). ---
+            let charged = disk.io();
+            if (real.block_reads, real.block_writes) != (charged.reads, charged.writes) {
+                record(
+                    &mut real_equals_charged,
+                    format!(
+                        "{label}: device did {}r/{}w for {}r/{}w charged",
+                        real.block_reads, real.block_writes, charged.reads, charged.writes
+                    ),
+                );
+            }
+            let sim_total = charged.total() as f64;
             let real_total = real.total() as f64;
-            sim_points.push(sim_total);
-            real_points.push(real_total);
-
             rows.push(
                 Row::new(label.clone())
                     .col("triangles", disk_report.triangles as f64)
@@ -1504,29 +1474,14 @@ pub fn experiment_e11(quick: bool) -> E11Outcome {
         timing.push(Row::new(label).col("disk_ms", disk_ms));
     }
 
-    let correlation = pearson(&sim_points, &real_points);
-    let corr_gate = if correlation >= E11_MIN_CORRELATION {
-        Ok(())
-    } else {
-        Err(format!(
-            "Pearson r = {correlation:.6} between simulated transfers and real disk I/O \
-             is below the {E11_MIN_CORRELATION} floor"
-        ))
-    };
-    let mut gates = vec![
-        GateOutcome::of("DISK_PARITY", &parity),
-        GateOutcome::of("E11_CORRELATION", &corr_gate),
-    ];
-    // Surface the measured r in the record even on a pass.
-    if let Some(g) = gates.last_mut() {
-        if g.passed {
-            g.detail = format!("Pearson r = {correlation:.6} (floor {E11_MIN_CORRELATION})");
-        }
+    let mut exact = GateOutcome::of("E11_REAL_EQUALS_CHARGED", &real_equals_charged);
+    if exact.passed {
+        exact.detail = "real device reads/writes equal charged reads/writes at every point".into();
     }
+    let gates = vec![GateOutcome::of("DISK_PARITY", &parity), exact];
     E11Outcome {
         rows,
         timing,
-        correlation,
         gates,
     }
 }

@@ -198,6 +198,7 @@ impl<T: Record> ExtVec<T> {
     }
 
     /// Shortens the array to `new_len` elements (no-op if already shorter).
+    /// Blocks wholly past the new end are dropped, never written back.
     pub fn truncate(&mut self, new_len: usize) {
         if new_len < self.len {
             self.machine

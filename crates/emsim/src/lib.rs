@@ -19,21 +19,22 @@
 //! ## Architecture
 //!
 //! * [`Machine`] — a cheap, clonable handle to the simulated machine. It owns
-//!   the disk segments, the LRU block cache, the [`IoStats`] counters, the
+//!   the disk segments, the [`BufferPool`] of `M/B` block frames standing in
+//!   for the internal memory, the [`IoStats`] counters, the
 //!   [`MemGauge`] tracking in-core working-buffer usage of cache-aware
 //!   algorithms, and a coarse work (RAM-operation) counter.
 //! * [`ExtVec<T>`] — a typed, growable array stored on the simulated disk.
-//!   Every element access is routed through the LRU cache and charged at
+//!   Every element access is routed through the buffer pool and charged at
 //!   block granularity.
 //! * [`ScanReader`] / element pushes on [`ExtVec`] — sequential access
-//!   patterns, which under the LRU cache cost `⌈n·w/B⌉` I/Os as the model
+//!   patterns, which under the LRU pool cost `⌈n·w/B⌉` I/Os as the model
 //!   prescribes for scanning.
 //! * [`Record`] — fixed-width encoding of elements into machine words
 //!   (the paper assumes each vertex and each edge occupies one word).
 //!
 //! ## Fidelity notes
 //!
-//! The cache is an **LRU** approximation of the ideal (optimal replacement)
+//! The buffer pool is an **LRU** approximation of the ideal (optimal replacement)
 //! cache. Frigo et al. (cited as [11] in the paper) show LRU with a
 //! constant-factor larger memory is within a constant factor of optimal for
 //! any regular cache-oblivious algorithm, which is exactly the regime the
@@ -48,7 +49,7 @@
 //!
 //! ## Storage backends and the error taxonomy
 //!
-//! Underneath the block cache, every *charged* transfer is routed through a
+//! Underneath the buffer pool, every *charged* transfer is routed through a
 //! [`Storage`] backend (the *charge gate*). Two gates exist:
 //!
 //! * the infallible in-memory default ([`storage::MemStorage`], what
@@ -62,15 +63,16 @@
 //!   *wraps* an arbitrary inner gate ([`FaultyStorage::wrapping`]), so
 //!   faults compose with either data plane.
 //!
-//! Orthogonal to the charge gate sits the **data plane**
-//! ([`BackendKind`]): where block *payloads* live. [`BackendKind::InMemory`]
-//! keeps them in host vecs (the pure simulator). [`BackendKind::Disk`]
-//! ([`Machine::with_backend`]) stores them in a real temp file through
-//! [`DiskStorage`], fronted by an explicit [`BufferPool`] of `M/B` frames
-//! whose replacement policy mirrors the simulator's LRU cache decision for
-//! decision — so the charged transfer counts are identical on both planes
-//! (the E11 `DISK_PARITY` gate) while the disk backend performs exactly one
-//! real block read per charged read and one real write per charged write.
+//! Orthogonal to the charge gate sits the **data plane** ([`BackendKind`]):
+//! where evicted block *payloads* live. The buffer pool is the machine's
+//! only residency policy on both planes, in front of a [`BlockDevice`]:
+//! [`BackendKind::InMemory`] keeps blocks in host RAM (the pure simulator),
+//! [`BackendKind::Disk`] ([`Machine::with_backend`]) in a real temp file
+//! through [`DiskStorage`]. The machine charges exactly the pool's misses
+//! and write-backs, so charged transfer counts are identical on both planes
+//! by construction (the E11 `DISK_PARITY` gate witnesses it end to end),
+//! and the device performs exactly one block read per charged read and one
+//! write per charged write.
 //!
 //! Fault outcomes split into three severities:
 //!
@@ -101,7 +103,6 @@
     clippy::checked_conversions
 )]
 
-mod cache;
 mod config;
 mod extvec;
 mod faults;

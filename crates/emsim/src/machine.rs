@@ -4,62 +4,52 @@ use std::cell::RefCell;
 use std::path::PathBuf;
 use std::rc::Rc;
 
-use crate::cache::{block_key, LruCache};
 use crate::config::EmConfig;
 use crate::faults::{CrashPoint, FaultEvent, FaultPlan, FaultyStorage};
 use crate::gauge::MemGauge;
 use crate::pool::BufferPool;
 use crate::stats::{IoStats, RunStats};
 use crate::storage::{
-    BlockDevice, DiskCounters, DiskStorage, MemStorage, Storage, StorageError, TransferDir,
+    BlockDevice, DiskCounters, DiskStorage, MemDevice, MemStorage, Storage, StorageError,
+    TransferDir,
 };
+
+/// Bit position of the segment id in a block key; the block index sits below.
+pub(crate) const SEGMENT_SHIFT: u32 = 40;
+
+/// Key identifying block `block` of segment `segment`.
+fn block_key(segment: u32, block: u64) -> u64 {
+    (u64::from(segment) << SEGMENT_SHIFT) | block
+}
 
 /// Which data plane a machine runs on: where block *payloads* live.
 ///
-/// Orthogonal to the charge gate (the [`Storage`] backend deciding
-/// per-transfer success and faults): a machine combines one of each, so
-/// fault plans compose with either plane.
+/// Either way the machine's [`BufferPool`] of `M/B` frames is the internal
+/// memory and the only residency policy; the plane picks the device behind
+/// it, so charged transfer counts are identical on both planes by
+/// construction. Orthogonal to the charge gate (the [`Storage`] backend
+/// deciding per-transfer success and faults): a machine combines one of
+/// each, so fault plans compose with either plane.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// The pure simulator: payloads live in host vecs, the LRU cache tracks
-    /// residency, nothing touches a file.
+    /// The pure simulator: evicted blocks live in host RAM, nothing touches
+    /// a file.
     #[default]
     InMemory,
-    /// Genuinely out-of-core: payloads live in a real temp file through
-    /// [`DiskStorage`], fronted by a [`BufferPool`] of `M/B` frames whose
-    /// replacement policy mirrors the simulator's LRU cache decision for
-    /// decision — charged transfer counts are identical on both planes, and
-    /// the device sees exactly one real read per charged read and one real
-    /// write per charged write.
+    /// Genuinely out-of-core: evicted blocks live in a real temp file
+    /// through [`DiskStorage`], which sees exactly one real read per charged
+    /// read and one real write per charged write.
     Disk,
 }
 
 struct Segment {
-    /// Payload words — only populated on the in-memory plane (on disk the
-    /// payloads live in the buffer pool and the backing file).
-    words: Vec<u64>,
-    /// Logical length in words, maintained on both planes.
+    /// Logical length in words.
     len: usize,
     live: bool,
 }
 
-/// Where block payloads live. The charge accounting never looks inside:
-/// both variants drive the same LRU policy and the same charge points.
-/// (Boxed: the disk plane is ~300 bytes of pool + device state, and the
-/// common in-memory variant should not pay for it.)
-enum DataPlane {
-    Mem,
-    Disk(Box<DiskPlane>),
-}
-
-struct DiskPlane {
-    pool: BufferPool,
-    dev: DiskStorage,
-}
-
 /// The charge-accounting lane: the counters plus the [`Storage`] gate every
-/// charged transfer routes through. Split from [`MachineInner`] so the disk
-/// plane can charge transfers while holding borrows into the data plane.
+/// charged transfer routes through.
 struct ChargeLane {
     io: IoStats,
     work: u64,
@@ -106,20 +96,74 @@ struct MachineInner {
     config: EmConfig,
     segments: Vec<Segment>,
     free_segments: Vec<u32>,
-    /// Residency/dirty tracking for the in-memory plane (the disk plane's
-    /// buffer pool tracks its own, with the identical policy).
-    cache: LruCache,
-    data: DataPlane,
+    /// The internal memory: `M/B` frames with strict-LRU eviction.
+    pool: BufferPool,
+    /// Where evicted blocks live: in RAM, or in the disk plane's file.
+    dev: Box<dyn BlockDevice>,
+    /// The disk plane's backing file (`None` on the in-memory plane).
+    disk_file: Option<PathBuf>,
     lane: ChargeLane,
     disk_words: u64,
     peak_disk_words: u64,
 }
 
+impl MachineInner {
+    /// Touches block `key` through the pool and charges what the pool did:
+    /// one read for a miss the device filled (none for a fresh append,
+    /// which reads nothing) and one write for a dirty victim.
+    fn touch(&mut self, key: u64, write: bool, fresh: bool) -> Result<(), StorageError> {
+        let touch = self.pool.access(key, write, fresh, &mut *self.dev);
+        if touch.miss && !fresh {
+            if let Err(e) = self.lane.charge(TransferDir::Read) {
+                // The block never arrived: drop the admitted frame so a
+                // retry faces (and is charged for) a real miss again. The
+                // block is still intact on the device.
+                self.pool.discard(key);
+                return Err(e);
+            }
+        }
+        if touch.writeback {
+            self.lane.charge(TransferDir::Write)?;
+        }
+        Ok(())
+    }
+
+    /// Writes every dirty frame to the device, charging one write each, and
+    /// marks it clean. Returns the number of writes.
+    fn write_back(&mut self) -> u64 {
+        let dirty = self.pool.dirty_keys();
+        for &key in &dirty {
+            if let Err(e) = self.lane.charge(TransferDir::Write) {
+                panic!("unrecoverable storage fault while writing back the cache: {e}");
+            }
+            self.dev.write_block(key, self.pool.frame(key));
+            self.pool.mark_clean(key);
+        }
+        dirty.len() as u64
+    }
+
+    /// Drops the words `from..to` of segment `seg`, its old tail: they leave
+    /// the disk usage, and every block wholly past word `from` leaves the
+    /// pool and the device with no charged write — dead data is never
+    /// written back. Blocks go last first: the in-RAM device frees segment
+    /// tails.
+    fn release_tail(&mut self, seg: u32, from: usize, to: usize) {
+        self.disk_words -= (to - from) as u64;
+        let block_words = self.config.block_words;
+        for block in (from.div_ceil(block_words)..to.div_ceil(block_words)).rev() {
+            let key = block_key(seg, block as u64);
+            self.pool.discard(key);
+            self.dev.free_block(key);
+        }
+    }
+}
+
 /// A cheap, clonable handle to a simulated external-memory machine.
 ///
 /// The machine owns the disk (a set of independently growable *segments*, one
-/// per [`crate::ExtVec`]), the LRU block cache standing in for the internal
-/// memory, the I/O counters and a [`MemGauge`] for in-core working buffers.
+/// per [`crate::ExtVec`]), the [`BufferPool`] of block frames standing in for
+/// the internal memory, the I/O counters and a [`MemGauge`] for in-core
+/// working buffers.
 ///
 /// Cloning a `Machine` clones the handle, not the machine: all clones share
 /// the same disk, cache and counters. The simulator is single-threaded by
@@ -129,11 +173,11 @@ struct MachineInner {
 /// Parallel (PEM) runs do not clone a machine across threads — a handle is
 /// deliberately `!Send`. Instead, each worker thread constructs its *own*
 /// machine from the shared, `Copy` [`EmConfig`]: [`Machine::new`] allocates
-/// only an empty cache and zeroed counters, so per-worker machines are cheap
+/// only an empty pool and zeroed counters, so per-worker machines are cheap
 /// to spawn, and each worker gets an independent [`IoStats`] and
 /// [`MemGauge`] (gauge-audit included). On the disk plane each worker machine
-/// likewise owns its own backing file and buffer pool (temp-dir scoped,
-/// unlinked on drop). The per-worker counters are aggregated afterwards with
+/// likewise owns its own backing file (temp-dir scoped, unlinked on drop).
+/// The per-worker counters are aggregated afterwards with
 /// [`crate::IoStats::merge`] / [`crate::WorkerReport`].
 #[derive(Clone)]
 pub struct Machine {
@@ -191,15 +235,13 @@ impl Machine {
     }
 
     fn with_parts(config: EmConfig, storage: Box<dyn Storage>, backend: BackendKind) -> Self {
-        let data = match backend {
-            BackendKind::InMemory => DataPlane::Mem,
+        let (dev, disk_file): (Box<dyn BlockDevice>, _) = match backend {
+            BackendKind::InMemory => (Box::new(MemDevice::new(config.block_words)), None),
             BackendKind::Disk => {
                 let dev = DiskStorage::create(config.block_words)
                     .unwrap_or_else(|e| panic!("failed to create the disk backend file: {e}"));
-                DataPlane::Disk(Box::new(DiskPlane {
-                    pool: BufferPool::new(config.frames(), config.block_words),
-                    dev,
-                }))
+                let path = dev.path().to_path_buf();
+                (Box::new(dev), Some(path))
             }
         };
         Self {
@@ -207,8 +249,9 @@ impl Machine {
                 config,
                 segments: Vec::new(),
                 free_segments: Vec::new(),
-                cache: LruCache::new(config.frames()),
-                data,
+                pool: BufferPool::new(config.frames(), config.block_words),
+                dev,
+                disk_file,
                 lane: ChargeLane {
                     io: IoStats::default(),
                     work: 0,
@@ -232,9 +275,10 @@ impl Machine {
 
     /// Which data plane this machine runs on.
     pub fn backend(&self) -> BackendKind {
-        match self.inner.borrow().data {
-            DataPlane::Mem => BackendKind::InMemory,
-            DataPlane::Disk(_) => BackendKind::Disk,
+        if self.inner.borrow().disk_file.is_some() {
+            BackendKind::Disk
+        } else {
+            BackendKind::InMemory
         }
     }
 
@@ -244,19 +288,14 @@ impl Machine {
     /// the two agree exactly — real reads equal charged reads, real writes
     /// equal charged writes — which is what E11 verifies.
     pub fn disk_counters(&self) -> Option<DiskCounters> {
-        match &self.inner.borrow().data {
-            DataPlane::Mem => None,
-            DataPlane::Disk(plane) => Some(plane.dev.counters()),
-        }
+        let inner = self.inner.borrow();
+        inner.disk_file.is_some().then(|| inner.dev.counters())
     }
 
     /// The disk plane's backing-file path (`None` on the in-memory plane).
     /// The file is unlinked when the last machine handle drops.
     pub fn disk_file(&self) -> Option<PathBuf> {
-        match &self.inner.borrow().data {
-            DataPlane::Mem => None,
-            DataPlane::Disk(plane) => Some(plane.dev.path().to_path_buf()),
-        }
+        self.inner.borrow().disk_file.clone()
     }
 
     /// Durability barrier on the disk plane (`fsync` of the backing file);
@@ -264,9 +303,7 @@ impl Machine {
     /// the *device* has seen — call [`Machine::flush`] first to push dirty
     /// pool frames (as charged writes) if you want a full barrier.
     pub fn sync(&self) {
-        if let DataPlane::Disk(plane) = &mut self.inner.borrow_mut().data {
-            plane.dev.sync();
-        }
+        self.inner.borrow_mut().dev.sync();
     }
 
     /// The gauge tracking in-core working-buffer usage.
@@ -314,67 +351,20 @@ impl Machine {
     }
 
     /// Evicts the entire cache (charging write I/Os for dirty blocks), so
-    /// that a subsequent measurement starts cold. On the disk plane every
-    /// dirty frame is also really written to the backing file, so the charge
-    /// and the device write stay one-to-one. Returns the number of
-    /// write-backs charged.
+    /// that a subsequent measurement starts cold. Every dirty frame is
+    /// written to the device, so the charge and the device write stay
+    /// one-to-one. Returns the number of write-backs charged.
     pub fn cold_cache(&self) -> u64 {
-        let mut guard = self.inner.borrow_mut();
-        let inner = &mut *guard;
-        match &mut inner.data {
-            DataPlane::Mem => {
-                let writes = inner.cache.clear();
-                for _ in 0..writes {
-                    if let Err(e) = inner.lane.charge(TransferDir::Write) {
-                        panic!("unrecoverable storage fault while emptying the cache: {e}");
-                    }
-                }
-                writes
-            }
-            DataPlane::Disk(plane) => {
-                let DiskPlane { pool, dev } = &mut **plane;
-                let dirty = pool.dirty_keys();
-                for &key in &dirty {
-                    if let Err(e) = inner.lane.charge(TransferDir::Write) {
-                        panic!("unrecoverable storage fault while emptying the cache: {e}");
-                    }
-                    dev.write_block(key, pool.frame(key));
-                    pool.mark_clean(key);
-                }
-                pool.clear();
-                dirty.len() as u64
-            }
-        }
+        let mut inner = self.inner.borrow_mut();
+        let writes = inner.write_back();
+        inner.pool.clear();
+        writes
     }
 
     /// Flushes dirty cached blocks to disk (charging write I/Os) without
     /// evicting them.
     pub fn flush(&self) -> u64 {
-        let mut guard = self.inner.borrow_mut();
-        let inner = &mut *guard;
-        match &mut inner.data {
-            DataPlane::Mem => {
-                let writes = inner.cache.flush();
-                for _ in 0..writes {
-                    if let Err(e) = inner.lane.charge(TransferDir::Write) {
-                        panic!("unrecoverable storage fault while flushing the cache: {e}");
-                    }
-                }
-                writes
-            }
-            DataPlane::Disk(plane) => {
-                let DiskPlane { pool, dev } = &mut **plane;
-                let dirty = pool.dirty_keys();
-                for &key in &dirty {
-                    if let Err(e) = inner.lane.charge(TransferDir::Write) {
-                        panic!("unrecoverable storage fault while flushing the cache: {e}");
-                    }
-                    dev.write_block(key, pool.frame(key));
-                    pool.mark_clean(key);
-                }
-                dirty.len() as u64
-            }
-        }
+        self.inner.borrow_mut().write_back()
     }
 
     /// Number of block frames in the simulated internal memory (`M / B`).
@@ -388,57 +378,25 @@ impl Machine {
 
     pub(crate) fn new_segment(&self) -> u32 {
         let mut inner = self.inner.borrow_mut();
+        let segment = Segment { len: 0, live: true };
         if let Some(id) = inner.free_segments.pop() {
-            inner.segments[id as usize] = Segment {
-                words: Vec::new(),
-                len: 0,
-                live: true,
-            };
+            inner.segments[id as usize] = segment;
             id
         } else {
-            inner.segments.push(Segment {
-                words: Vec::new(),
-                len: 0,
-                live: true,
-            });
+            inner.segments.push(segment);
             u32::try_from(inner.segments.len() - 1).expect("segment count exceeds u32")
         }
     }
 
     pub(crate) fn free_segment(&self, seg: u32) {
-        let mut guard = self.inner.borrow_mut();
-        let inner = &mut *guard;
-        let block_words = inner.config.block_words as u64;
-        let seg_words;
-        {
-            let s = &mut inner.segments[seg as usize];
-            if !s.live {
-                return;
-            }
-            s.live = false;
-            seg_words = s.len as u64;
-            s.len = 0;
-            s.words = Vec::new();
+        let mut inner = self.inner.borrow_mut();
+        let s = &mut inner.segments[seg as usize];
+        if !s.live {
+            return;
         }
-        inner.disk_words -= seg_words;
-        // Forget the dead blocks so their eviction is never charged (and, on
-        // disk, release their file slots for recycling).
-        let nblocks = seg_words.div_ceil(block_words);
-        match &mut inner.data {
-            DataPlane::Mem => {
-                for b in 0..nblocks {
-                    inner.cache.discard(block_key(seg, b));
-                }
-            }
-            DataPlane::Disk(plane) => {
-                let DiskPlane { pool, dev } = &mut **plane;
-                for b in 0..nblocks {
-                    let key = block_key(seg, b);
-                    pool.discard(key);
-                    dev.free_block(key);
-                }
-            }
-        }
+        s.live = false;
+        let len = std::mem::take(&mut s.len);
+        inner.release_tail(seg, 0, len);
         inner.free_segments.push(seg);
     }
 
@@ -457,51 +415,16 @@ impl Machine {
     /// (retry exhaustion) surface as errors instead of panics. A `CrashAt`
     /// kill switch still panics — a crash is not handleable.
     pub(crate) fn try_read_word(&self, seg: u32, idx: usize) -> Result<u64, StorageError> {
-        let mut guard = self.inner.borrow_mut();
-        let inner = &mut *guard;
+        let mut inner = self.inner.borrow_mut();
+        let seg_len = inner.segments[seg as usize].len;
+        assert!(
+            idx < seg_len,
+            "read past end of segment: idx {idx}, len {seg_len}"
+        );
         let block_words = inner.config.block_words;
-        let block = (idx / block_words) as u64;
-        let key = block_key(seg, block);
-        match &mut inner.data {
-            DataPlane::Mem => {
-                let touch = inner.cache.touch(key, false);
-                if touch.miss {
-                    if let Err(e) = inner.lane.charge(TransferDir::Read) {
-                        // The block never arrived: evict the speculative cache
-                        // entry so a later retry faces (and is charged for) a
-                        // real miss.
-                        inner.cache.discard(key);
-                        return Err(e);
-                    }
-                }
-                if touch.writeback {
-                    inner.lane.charge(TransferDir::Write)?;
-                }
-                Ok(inner.segments[seg as usize].words[idx])
-            }
-            DataPlane::Disk(plane) => {
-                let DiskPlane { pool, dev } = &mut **plane;
-                let seg_len = inner.segments[seg as usize].len;
-                assert!(
-                    idx < seg_len,
-                    "read past end of segment: idx {idx}, len {seg_len}"
-                );
-                let touch = pool.access(key, false, false, dev);
-                if touch.miss {
-                    if let Err(e) = inner.lane.charge(TransferDir::Read) {
-                        // Same recovery as in memory: drop the just-admitted
-                        // frame so a retry faces a real miss again (the block
-                        // is still intact on the device).
-                        pool.discard(key);
-                        return Err(e);
-                    }
-                }
-                if touch.writeback {
-                    inner.lane.charge(TransferDir::Write)?;
-                }
-                Ok(pool.word(key, idx % block_words))
-            }
-        }
+        let key = block_key(seg, (idx / block_words) as u64);
+        inner.touch(key, false, false)?;
+        Ok(inner.pool.word(key, idx % block_words))
     }
 
     /// Writes `value` at `idx` of segment `seg` (which must be `≤ len`,
@@ -539,51 +462,14 @@ impl Machine {
             }
         }
         let block_words = inner.config.block_words;
-        let block = (idx / block_words) as u64;
-        let key = block_key(seg, block);
-        // Appending a word to a fresh block does not require reading the
-        // block from disk first (the model writes whole blocks); but writing
-        // into the middle of an uncached block does (read-modify-write).
-        let block_start = usize::try_from(block).expect("block index exceeds usize") * block_words;
-        let fresh_append = idx == seg_len && idx == block_start;
-        match &mut inner.data {
-            DataPlane::Mem => {
-                let touch = inner.cache.touch(key, true);
-                if touch.miss && !fresh_append {
-                    if let Err(e) = inner.lane.charge(TransferDir::Read) {
-                        // Read-modify-write fill failed: evict the speculative
-                        // entry so a retry faces a real miss again.
-                        inner.cache.discard(key);
-                        return Err(e);
-                    }
-                }
-                if touch.writeback {
-                    inner.lane.charge(TransferDir::Write)?;
-                }
-                let segment = &mut inner.segments[seg as usize];
-                if idx < seg_len {
-                    segment.words[idx] = value;
-                } else {
-                    segment.words.push(value);
-                }
-            }
-            DataPlane::Disk(plane) => {
-                let DiskPlane { pool, dev } = &mut **plane;
-                // A fresh append materialises a zeroed frame with no device
-                // read, mirroring the simulator's uncharged fresh miss.
-                let touch = pool.access(key, true, fresh_append, dev);
-                if touch.miss && !fresh_append {
-                    if let Err(e) = inner.lane.charge(TransferDir::Read) {
-                        pool.discard(key);
-                        return Err(e);
-                    }
-                }
-                if touch.writeback {
-                    inner.lane.charge(TransferDir::Write)?;
-                }
-                pool.set_word(key, idx - block_start, value);
-            }
-        }
+        let key = block_key(seg, (idx / block_words) as u64);
+        let offset = idx % block_words;
+        // Appending the first word of a block does not read the block from
+        // disk (the model writes whole blocks); writing into an uncached
+        // block anywhere else does (read-modify-write).
+        let fresh_append = idx == seg_len && offset == 0;
+        inner.touch(key, true, fresh_append)?;
+        inner.pool.set_word(key, offset, value);
         if idx == seg_len {
             inner.segments[seg as usize].len += 1;
             inner.disk_words += 1;
@@ -594,14 +480,14 @@ impl Machine {
         Ok(())
     }
 
+    /// Shortens segment `seg` to `new_words` words, releasing the blocks
+    /// wholly past the new end as [`Machine::free_segment`] does.
     pub(crate) fn truncate_segment(&self, seg: u32, new_words: usize) {
         let mut inner = self.inner.borrow_mut();
         let old = inner.segments[seg as usize].len;
         if new_words < old {
-            let s = &mut inner.segments[seg as usize];
-            s.len = new_words;
-            s.words.truncate(new_words);
-            inner.disk_words -= (old - new_words) as u64;
+            inner.segments[seg as usize].len = new_words;
+            inner.release_tail(seg, new_words, old);
         }
     }
 }
@@ -678,6 +564,19 @@ mod tests {
         // Segment ids are recycled.
         let seg2 = m.new_segment();
         assert_eq!(seg2, seg);
+    }
+
+    #[test]
+    fn truncated_blocks_are_never_written_back() {
+        let m = Machine::new(EmConfig::new(1024, 64)); // 16 frames
+        let seg = m.new_segment();
+        for i in 0..64 * 4usize {
+            m.write_word(seg, i, 1);
+        }
+        m.truncate_segment(seg, 0);
+        m.free_segment(seg);
+        assert_eq!(m.cold_cache(), 0, "dead blocks are dropped, not written");
+        assert_eq!(m.io().total(), 0);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Storage backends beneath the simulated disk: the error taxonomy, the
-//! retry policy, the infallible in-memory default, and the real file-backed
-//! block device.
+//! retry policy, the infallible in-memory default, and the block devices.
 //!
 //! The storage layer has two orthogonal seams:
 //!
@@ -22,12 +21,12 @@
 //!      compose with any charge gate underneath.
 //!
 //! 2. **The data plane** ([`BlockDevice`]). The charge gate carries no
-//!    payload; block *data* lives either in host RAM (the pure simulator) or
-//!    on a real [`DiskStorage`] file fronted by a [`crate::BufferPool`]
-//!    (machines built with [`crate::BackendKind::Disk`]). The two seams are
-//!    independent: faults wrap either backend, and the disk backend executes
-//!    one real block read/write at exactly the points the simulator charges
-//!    one — which is what the E11 parity experiment verifies.
+//!    payload; block *data* lives on a device behind the machine's
+//!    [`crate::BufferPool`]: an in-RAM `MemDevice` for
+//!    [`crate::BackendKind::InMemory`], a real [`DiskStorage`] file for
+//!    [`crate::BackendKind::Disk`]. The pool and its charge points are the
+//!    same on both, so the device sees one transfer per charged transfer
+//!    whichever it is, and faults wrap either.
 //!
 //! Permanent failures — retry exhaustion and disk-full — surface as typed
 //! [`StorageError`]s through the `try_*` accessors of [`crate::ExtVec`];
@@ -39,6 +38,8 @@ use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::machine::SEGMENT_SHIFT;
 
 /// Direction of a block transfer, as seen by a [`Storage`] backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -205,7 +206,7 @@ impl Storage for MemStorage {
 }
 
 /// Real-I/O counters of a [`BlockDevice`]: the *measured* side of the E11
-/// sim-vs-disk correlation experiment, kept apart from the simulated
+/// sim-vs-disk experiment, kept apart from the simulated
 /// [`crate::IoStats`] so the spec (charged transfers) and the witness
 /// (executed transfers) can be compared.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -236,8 +237,6 @@ impl DiskCounters {
 pub trait BlockDevice {
     /// Words per block (every `read_block`/`write_block` buffer is this long).
     fn block_words(&self) -> usize;
-    /// Whether `key` has ever been written to the device (and not freed).
-    fn contains(&self, key: u64) -> bool;
     /// Reads block `key` into `buf`. Panics if the block is absent.
     fn read_block(&mut self, key: u64, buf: &mut [u64]);
     /// Writes block `key` from `data`, allocating a slot on first write.
@@ -248,6 +247,91 @@ pub trait BlockDevice {
     fn sync(&mut self);
     /// The real-I/O counters so far.
     fn counters(&self) -> DiskCounters;
+}
+
+/// The in-RAM block device of the in-memory plane.
+///
+/// Each segment's blocks are one flat word vector, indexed by the segment
+/// id in the block key: block `b` occupies words `b·B..(b+1)·B`, so a
+/// transfer is one copy with no hashing. A vector grows to its highest
+/// written block (a gap below it reads as zeros, and the machine never
+/// reads a block it did not write) and shrinks as blocks are freed from its
+/// end — the machine frees only segment tails, last block first — so the
+/// device holds the words of live blocks only. It counts transfers like any
+/// device, though the machine reports them only for the disk plane.
+pub(crate) struct MemDevice {
+    block_words: usize,
+    segments: Vec<Vec<u64>>,
+    counters: DiskCounters,
+}
+
+impl MemDevice {
+    pub(crate) fn new(block_words: usize) -> Self {
+        assert!(block_words > 0, "a block holds at least one word");
+        Self {
+            block_words,
+            // emlint: allow(unleased, reason = "segment table of the in-memory disk, below the charge boundary")
+            segments: Vec::new(),
+            counters: DiskCounters::default(),
+        }
+    }
+
+    /// The segment index and first word of block `key`.
+    fn locate(&self, key: u64) -> (usize, usize) {
+        let segment = usize::try_from(key >> SEGMENT_SHIFT).expect("segment id fits usize");
+        let block = usize::try_from(key & ((1 << SEGMENT_SHIFT) - 1)).expect("block fits usize");
+        (segment, block * self.block_words)
+    }
+}
+
+impl BlockDevice for MemDevice {
+    fn block_words(&self) -> usize {
+        self.block_words
+    }
+
+    fn read_block(&mut self, key: u64, buf: &mut [u64]) {
+        let (segment, start) = self.locate(key);
+        let words = self
+            .segments
+            .get(segment)
+            .and_then(|words| words.get(start..start + self.block_words))
+            .unwrap_or_else(|| panic!("block {key:#x} was never written to the memory device"));
+        buf.copy_from_slice(words);
+        self.counters.block_reads += 1;
+    }
+
+    fn write_block(&mut self, key: u64, data: &[u64]) {
+        let (segment, start) = self.locate(key);
+        if self.segments.len() <= segment {
+            self.segments.resize_with(segment + 1, Vec::new);
+        }
+        let words = &mut self.segments[segment];
+        let end = start + self.block_words;
+        if words.len() < end {
+            words.resize(end, 0);
+        }
+        words[start..end].copy_from_slice(data);
+        self.counters.block_writes += 1;
+    }
+
+    fn free_block(&mut self, key: u64) {
+        let (segment, start) = self.locate(key);
+        if let Some(words) = self.segments.get_mut(segment) {
+            if words.len() == start + self.block_words {
+                words.truncate(start);
+                if words.is_empty() {
+                    // The whole segment is dead: release its allocation.
+                    words.shrink_to_fit();
+                }
+            }
+        }
+    }
+
+    fn sync(&mut self) {}
+
+    fn counters(&self) -> DiskCounters {
+        self.counters
+    }
 }
 
 /// Process-unique suffix for backing-file names: several machines (one per
@@ -350,10 +434,6 @@ impl DiskStorage {
 impl BlockDevice for DiskStorage {
     fn block_words(&self) -> usize {
         self.block_words
-    }
-
-    fn contains(&self, key: u64) -> bool {
-        self.slots.contains_key(&key)
     }
 
     fn read_block(&mut self, key: u64, buf: &mut [u64]) {
@@ -487,10 +567,8 @@ mod tests {
     #[test]
     fn disk_storage_round_trips_blocks() {
         let mut dev = DiskStorage::create(8).expect("temp file");
-        assert!(!dev.contains(3));
         let data: Vec<u64> = (0..8).map(|i| i * 7 + 1).collect();
         dev.write_block(3, &data);
-        assert!(dev.contains(3));
         let mut back = vec![0u64; 8];
         dev.read_block(3, &mut back);
         assert_eq!(back, data);
@@ -507,7 +585,6 @@ mod tests {
         dev.write_block(2, &[2; 4]);
         let len_two = std::fs::metadata(dev.path()).unwrap().len();
         dev.free_block(1);
-        assert!(!dev.contains(1));
         // The freed slot is reused: the file does not grow.
         dev.write_block(9, &[9; 4]);
         assert_eq!(std::fs::metadata(dev.path()).unwrap().len(), len_two);
@@ -519,6 +596,26 @@ mod tests {
         assert_eq!(std::fs::metadata(dev.path()).unwrap().len(), len_two);
         dev.read_block(2, &mut back);
         assert_eq!(back, [7; 4]);
+    }
+
+    #[test]
+    fn mem_device_round_trips_blocks_and_frees_segment_tails() {
+        let key = |segment: u64, block: u64| (segment << SEGMENT_SHIFT) | block;
+        let mut dev = MemDevice::new(2);
+        dev.write_block(key(3, 0), &[1, 2]);
+        dev.write_block(key(3, 1), &[3, 4]);
+        dev.write_block(key(0, 0), &[5, 6]);
+        let mut back = [0u64; 2];
+        dev.read_block(key(3, 1), &mut back);
+        assert_eq!(back, [3, 4]);
+        dev.read_block(key(0, 0), &mut back);
+        assert_eq!(back, [5, 6]);
+        // Freeing segment 3's tail, last block first, releases its words.
+        dev.free_block(key(3, 1));
+        dev.free_block(key(3, 0));
+        assert_eq!(dev.segments[3].capacity(), 0);
+        let c = dev.counters();
+        assert_eq!((c.block_reads, c.block_writes), (2, 3));
     }
 
     #[test]
