@@ -42,7 +42,7 @@ use crate::input::ExtGraph;
 use crate::sink::{CollectingSink, TriangleSink};
 use crate::stats::{PhaseRecorder, RunReport};
 use crate::{cache_aware, cache_oblivious, derandomized};
-use crate::{Algorithm, Step3Strategy, TranslatingSink};
+use crate::{Algorithm, TranslatingSink};
 
 /// Default spawn depth of the cache-oblivious driver: subtrees rooted at
 /// depth 2 of the colour-refinement tree become work units (up to `8² = 64`
@@ -140,11 +140,6 @@ impl ShardCursor {
             log: log_units.then(Vec::new),
             next_unit: 0,
         }
-    }
-
-    /// Whether every unit is owned (the sequential degenerate case).
-    pub(crate) fn is_solo(&self) -> bool {
-        self.workers == 1
     }
 
     /// Ticks the unit counter and answers whether this worker owns the unit
@@ -445,7 +440,6 @@ fn run_worker(
                     &ext,
                     cfg,
                     seed,
-                    Step3Strategy::default(),
                     &mut translating,
                     &mut recorder,
                     &mut cursor,
@@ -467,7 +461,6 @@ fn run_worker(
                     cfg,
                     family_seed,
                     candidates,
-                    Step3Strategy::default(),
                     &mut translating,
                     &mut recorder,
                     &mut cursor,

@@ -137,8 +137,8 @@ impl RefinedColoring {
         self.levels.push(BitLevel::new(b, self.memoise));
     }
 
-    /// Appends a whole batch of refinement levels at once — how a
-    /// level-synchronous consumer installs its per-level bit schedule up
+    /// Appends a whole batch of refinement levels at once — how the
+    /// cache-oblivious recursion installs its per-level bit schedule up
     /// front (one shared bit function per tree depth) instead of
     /// pushing/popping per node. Prefix queries then go through
     /// [`RefinedColoring::color_at`].
@@ -175,7 +175,7 @@ impl RefinedColoring {
     /// The colour of vertex `v` after only the first `depth ≤ depth()`
     /// refinement levels, from the constant base colouring `ξ_0 ≡ 1`.
     ///
-    /// This is the query shape of the level-synchronous recursion: all
+    /// This is the query shape of the cache-oblivious recursion: all
     /// `log₄ E` bit functions are installed once (see
     /// [`RefinedColoring::push_batch`]) and every tree level `d` asks for the
     /// depth-`d` prefix colour, so sibling subproblems share both the bit
