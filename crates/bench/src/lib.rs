@@ -765,15 +765,15 @@ pub const E9_RETRY_IO_FRACTION_CEILING: f64 = 0.10;
 /// Ceiling on the E9 recovery I/O overhead: for each injected crash point,
 /// `(crashed run transfers + resumed run transfers) / fault-free transfers`.
 ///
-/// Recorded 2026-08-08 when the checkpoint/resume machinery landed: the
-/// sweep's worst point measures 1.73 at the `--quick` size and 1.57 at the
-/// full size (a crash shortly after a checkpoint: the crashed run has paid
-/// for work the checkpoint does not capture, and the resume replays the
-/// graph-load preamble, the frontier-rebuild filter scans and everything
-/// past the last checkpoint), with sweep means near 1.5 and 1.4. A
-/// regression that loses the checkpoint frontier — forcing a late crash to
-/// restart from scratch — costs ~2× at the worst point and trips the gate;
-/// honest noise is zero, the runs are fully deterministic.
+/// With unit-prefix checkpoints the sweep's worst point measures 1.56 at
+/// the `--quick` size and 1.40 at the full size (a crash shortly before the
+/// next checkpoint: the crashed run has paid for units the checkpoint does
+/// not capture, and the resume replays the graph-load preamble, the
+/// replicated top of the refinement tree and every unit past the last
+/// checkpoint). The DFS-frontier format it replaced measured 1.73 and 1.57.
+/// A regression that loses the checkpoint — forcing a late crash to restart
+/// from scratch — costs ~2× at the worst point and trips the gate; honest
+/// noise is zero, the runs are fully deterministic.
 pub const E9_RECOVERY_IO_OVERHEAD_CEILING: f64 = 2.0;
 
 /// Checks an E9 table against [`E9_RECOVERY_IO_OVERHEAD_CEILING`]; returns
@@ -863,7 +863,7 @@ pub fn experiment_e9(quick: bool) -> E9Outcome {
 fn e9_sweep(e: usize, points: u64) -> E9Outcome {
     silence_simulated_crash_panics();
     let cfg = EmConfig::new(1 << 10, 32);
-    let seed = 0xA11CE;
+    let alg = Algorithm::CacheObliviousRandomized { seed: 0xA11CE };
     let g = generators::erdos_renyi(e / 8, e, 9);
     let scratch = e9_scratch_dir();
     std::fs::create_dir_all(&scratch).expect("creating the E9 scratch directory");
@@ -873,8 +873,7 @@ fn e9_sweep(e: usize, points: u64) -> E9Outcome {
     // transfer count is the denominator of the recovery-overhead metric.
     let reference = Machine::new(cfg);
     let mut oracle_sink = CollectingSink::new();
-    let ref_report =
-        enumerate_triangles_with_recovery(&g, &reference, seed, &mut oracle_sink, None);
+    let ref_report = enumerate_triangles_with_recovery(&g, &reference, alg, &mut oracle_sink, None);
     let ref_transfers = reference.transfers();
     let run_io = ref_report.io.total();
     // `CrashAt` counts charged transfers from machine creation, so crash
@@ -891,7 +890,7 @@ fn e9_sweep(e: usize, points: u64) -> E9Outcome {
     // Zero-fault control: the recovery entry point on a default machine must
     // cost exactly what the plain driver costs — the fault/checkpoint layer
     // is pay-for-what-you-use.
-    let plain = run(&g, Algorithm::CacheObliviousRandomized { seed }, cfg);
+    let plain = run(&g, alg, cfg);
     let ref_retry_io = ref_report.extra("retry_io").unwrap_or(f64::NAN);
     let zero_fault = if plain.io.total() != ref_report.io.total() {
         Err(format!(
@@ -948,7 +947,7 @@ fn e9_sweep(e: usize, points: u64) -> E9Outcome {
             enumerate_triangles_with_recovery(
                 &g,
                 &crashed_machine,
-                seed,
+                alg,
                 &mut collected,
                 Some(&spec),
             )
@@ -998,7 +997,7 @@ fn e9_sweep(e: usize, points: u64) -> E9Outcome {
                     ),
                 );
             }
-            resume_enumeration(&g, &resume_machine, &ck, &mut collected, None);
+            resume_enumeration(&g, &resume_machine, alg, &ck, &mut collected, None);
         } else {
             if committed != 0 {
                 record(
@@ -1011,7 +1010,7 @@ fn e9_sweep(e: usize, points: u64) -> E9Outcome {
             }
             // Crashed before the first checkpoint: nothing durable exists,
             // so recovery is a plain fresh run.
-            enumerate_triangles_with_recovery(&g, &resume_machine, seed, &mut collected, None);
+            enumerate_triangles_with_recovery(&g, &resume_machine, alg, &mut collected, None);
         }
         let resume_stats = resume_machine.stats();
         let resume_transfers = resume_machine.transfers();

@@ -22,7 +22,6 @@ use crate::input::ExtGraph;
 use crate::lemma1::enumerate_through_vertex;
 use crate::lemma2::{enumerate_multi_cone, ChunkPolicy, ConeClasses};
 use crate::partition::ColorPartition;
-use crate::sink::TriangleSink;
 use crate::stats::PhaseRecorder;
 use crate::util::{
     degree_table, isqrt_u128, remove_incident_edges, vertices_with_degree, SortKind,
@@ -34,7 +33,6 @@ use emsim::ExtVec;
 /// Result of a cache-aware (randomized or derandomized) run, before being
 /// wrapped into the public [`crate::RunReport`].
 pub(crate) struct ColoredRunOutcome {
-    pub triangles: u64,
     pub colors: u64,
     pub x_statistic: u128,
     pub high_degree_vertices: usize,
@@ -43,33 +41,21 @@ pub(crate) struct ColoredRunOutcome {
     pub step3_chunk_passes: u64,
 }
 
-/// Runs the cache-aware randomized algorithm.
+/// Runs the cache-aware randomized algorithm, executing only the step-1
+/// vertices and step-3 pivot pairs `units` owns and emitting into `units`.
+/// The colouring depends on `seed` alone — never on the worker — so every
+/// worker agrees on the classes and the unit numbering.
 pub(crate) fn run_cache_aware_randomized(
     graph: &ExtGraph,
     cfg: EmConfig,
     seed: u64,
-    sink: &mut dyn TriangleSink,
     recorder: &mut PhaseRecorder,
-) -> ColoredRunOutcome {
-    run_cache_aware_randomized_sharded(graph, cfg, seed, sink, recorder, &mut ShardCursor::solo())
-}
-
-/// [`run_cache_aware_randomized`] under a shard cursor: the worker executes
-/// only the step-1 vertices and step-3 pivot pairs it owns. The colouring
-/// depends on `seed` alone — never on the worker — so every worker agrees on
-/// the classes and the unit numbering.
-pub(crate) fn run_cache_aware_randomized_sharded(
-    graph: &ExtGraph,
-    cfg: EmConfig,
-    seed: u64,
-    sink: &mut dyn TriangleSink,
-    recorder: &mut PhaseRecorder,
-    shard: &mut ShardCursor,
+    units: &mut ShardCursor<'_>,
 ) -> ColoredRunOutcome {
     let e = graph.edge_count();
     let c = number_of_colors(e, cfg.mem_words);
     let coloring = RandomColoring::new(c, seed);
-    run_colored(graph, cfg, c, &|v| coloring.color(v), sink, recorder, shard)
+    run_colored(graph, cfg, c, &|v| coloring.color(v), recorder, units)
 }
 
 /// The number of colours `c = ⌈√(E/M)⌉` (at least 1), computed exactly in
@@ -117,25 +103,23 @@ pub(crate) fn split_high_low_degree(
 /// Shared driver for the randomized (Section 2) and derandomized (Section 4)
 /// cache-aware algorithms: everything except how the colouring is chosen.
 ///
-/// Work units (sharded runs): each step-1 high-degree vertex is one unit, in
-/// ascending vertex order; each *non-empty* step-3 pivot pair `(τ2, τ3)` is
-/// one unit, in loop order. Both streams are determined by the colouring
-/// (hence the seed) alone, so the numbering is identical on every worker.
-/// Step 2 — building the partition — is replicated on every worker: all
-/// workers need the class index. With a solo cursor every claim succeeds and
-/// this is exactly the sequential driver.
+/// Work units: each step-1 high-degree vertex is one unit, in ascending
+/// vertex order; each *non-empty* step-3 pivot pair `(τ2, τ3)` is one unit,
+/// in loop order. Both streams are determined by the colouring (hence the
+/// seed) and `M` alone, so the numbering is identical on every worker and
+/// on every resume. Step 2 — building the partition — is replicated: every
+/// worker needs the class index. With a one-worker cursor every claim
+/// succeeds and this is exactly the sequential driver.
 pub(crate) fn run_colored(
     graph: &ExtGraph,
     cfg: EmConfig,
     c: u64,
     color: &dyn Fn(VertexId) -> u64,
-    sink: &mut dyn TriangleSink,
     recorder: &mut PhaseRecorder,
-    shard: &mut ShardCursor,
+    units: &mut ShardCursor<'_>,
 ) -> ColoredRunOutcome {
     let machine = graph.machine().clone();
     let edges = graph.edges();
-    let mut triangles = 0u64;
 
     // ---- Step 1: triangles with a high-degree vertex (Lemma 1 per vertex). ----
     let before: IoStats = machine.io();
@@ -146,11 +130,11 @@ pub(crate) fn run_colored(
         // first high-degree vertex of that triangle, so that triangles with
         // several high-degree vertices are emitted exactly once.
         for &v in &high {
-            if !shard.claim(WorkUnitKind::HighDegreeVertex { v }) {
+            if !units.claim(WorkUnitKind::HighDegreeVertex { v }) {
                 continue;
             }
             let high_ref = &high;
-            triangles += enumerate_through_vertex(
+            enumerate_through_vertex(
                 edges,
                 v,
                 SortKind::Aware,
@@ -160,7 +144,7 @@ pub(crate) fn run_colored(
                         .find(|x| high_ref.binary_search(x).is_ok());
                     first_high == Some(v)
                 },
-                sink,
+                units,
             );
         }
     }
@@ -199,7 +183,7 @@ pub(crate) fn run_colored(
             if partition.class_len(t2, t3) == 0 {
                 continue;
             }
-            if !shard.claim(WorkUnitKind::PivotPair { t2, t3 }) {
+            if !units.claim(WorkUnitKind::PivotPair { t2, t3 }) {
                 continue;
             }
             let pivots = partition.class_slice(t2, t3);
@@ -225,15 +209,13 @@ pub(crate) fn run_colored(
             // The cone table is O(c) in-core words of view metadata.
             let _cone_lease = machine.gauge().lease((cones.len() * 4) as u64);
             let stats =
-                enumerate_multi_cone(pivots, &cones, cfg.mem_words, ChunkPolicy::default(), sink);
-            triangles += stats.emitted;
+                enumerate_multi_cone(pivots, &cones, cfg.mem_words, ChunkPolicy::default(), units);
             step3_chunk_passes += stats.chunk_passes;
         }
     }
     recorder.record("step3_color_triples", before, machine.io());
 
     ColoredRunOutcome {
-        triangles,
         colors: c,
         x_statistic,
         high_degree_vertices: high.len(),
@@ -274,8 +256,9 @@ mod tests {
         let before = machine.io().total();
         let mut sink = StrictSink::new();
         let mut rec = PhaseRecorder::new(machine.gauge());
-        let out = run_cache_aware_randomized(&eg, cfg, seed, &mut sink, &mut rec);
-        (out.triangles, machine.io().total() - before, out)
+        let mut units = ShardCursor::solo(&eg, &mut sink);
+        let out = run_cache_aware_randomized(&eg, cfg, seed, &mut rec, &mut units);
+        (sink.len() as u64, machine.io().total() - before, out)
     }
 
     #[test]
@@ -469,16 +452,9 @@ mod tests {
         let eg = ExtGraph::load(&machine, &g);
         let mut sink = StrictSink::new(); // panics on duplicate emission
         let mut rec = PhaseRecorder::new(machine.gauge());
-        let out = run_colored(
-            &eg,
-            cfg,
-            3,
-            &|_| 0,
-            &mut sink,
-            &mut rec,
-            &mut ShardCursor::solo(),
-        );
-        assert_eq!(out.triangles, expected);
+        let mut units = ShardCursor::solo(&eg, &mut sink);
+        run_colored(&eg, cfg, 3, &|_| 0, &mut rec, &mut units);
+        assert_eq!(units.emitted(), expected);
         assert_eq!(sink.len() as u64, expected);
     }
 
@@ -493,16 +469,12 @@ mod tests {
             let eg = ExtGraph::load(&machine, &g);
             let mut sink = crate::sink::CollectingSink::new();
             let mut rec = PhaseRecorder::new(machine.gauge());
-            let out = run_cache_aware_randomized(&eg, cfg, seed, &mut sink, &mut rec);
-            let mut got: Vec<Triangle> = sink
-                .into_triangles()
-                .into_iter()
-                .map(|t| eg.translate(t))
-                .collect();
+            let mut units = ShardCursor::solo(&eg, &mut sink);
+            run_cache_aware_randomized(&eg, cfg, seed, &mut rec, &mut units);
+            let mut got: Vec<Triangle> = sink.into_triangles();
             got.sort_unstable();
             let mut expected = naive::enumerate_triangles(&g);
             expected.sort_unstable();
-            assert_eq!(out.triangles, expected.len() as u64, "seed {seed}");
             assert_eq!(got, expected, "seed {seed}");
         }
     }
@@ -520,8 +492,9 @@ mod tests {
         machine.gauge().reset_peak();
         let mut sink = StrictSink::new();
         let mut rec = PhaseRecorder::new(machine.gauge());
-        let out = run_cache_aware_randomized(&eg, cfg, 2, &mut sink, &mut rec);
-        assert_eq!(out.triangles, naive::count_triangles(&g));
+        let mut units = ShardCursor::solo(&eg, &mut sink);
+        run_cache_aware_randomized(&eg, cfg, 2, &mut rec, &mut units);
+        assert_eq!(units.emitted(), naive::count_triangles(&g));
         assert!(
             machine.gauge().peak() <= 2 * cfg.mem_words as u64,
             "peak in-core usage {} exceeds 2M = {}",

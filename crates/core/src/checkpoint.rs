@@ -1,129 +1,146 @@
-//! Crash-safe checkpoints of the cache-oblivious driver.
+//! Crash-safe checkpoints: a prefix of the deterministic work-unit stream.
 //!
-//! A checkpoint captures, at a subproblem boundary, everything the explicit
-//! depth-first stack needs to continue after the process dies: the run
-//! parameters (`seed`, root edge count, depth limit — the colour-refinement
-//! tree is a pure function of these), the sink's high-water mark (triangles
-//! durably committed so far), the stack frontier (one compact descriptor per
-//! pending subproblem), and the log of oversized depth-limit leaves batched
-//! since the run started (their run-global wedge/edge files die with the
-//! simulated machine, so a resume replays them).
+//! Every paper driver numbers its independent pieces — the step-1
+//! high-degree vertices and step-3 pivot pairs of the cache-aware drivers,
+//! the top-of-tree subtrees, leaves and high-degree passes of the
+//! cache-oblivious refinement — as one unit stream whose numbering depends
+//! only on the input, the algorithm and its seed(s), and `M` (see
+//! [`crate::workunit`]). A checkpoint therefore needs no driver state at
+//! all: it records *how many units are done* and how many triangles those
+//! units emitted (the sink's high-water mark). A resumed run replays the same
+//! driver with every unit below `units_done` disowned — they take the
+//! non-owner path sharded workers already take — and delivers exactly the
+//! remainder.
 //!
-//! A pending subproblem's *edge list* is deliberately **not** serialised.
-//! Colour-vector compatibility is hereditary (an edge compatible with a
-//! node's vector at its depth is compatible with every ancestor's), and both
-//! high-degree removal and partition routing preserve the root's `(u, v)`
-//! order — so the node's exact edge list is recovered by one order-preserving
-//! scan of the (re-sorted) root: keep each edge whose colour pair is
-//! compatible at `(depth, target)` and which is not incident to a vertex in
-//! the node's accumulated `removed` set. That makes checkpoints `O(frontier)`
-//! words instead of `O(E)`.
+//! The driver writes a checkpoint at a unit claim that comes at least
+//! `interval_io` charged I/Os after the previous one, and only then commits
+//! the sink, so the persisted high-water mark never runs ahead of the
+//! durably delivered triangles.
 //!
-//! Checkpoints are serialised with the repo's hand-rolled flat-JSON style (no
-//! serde in the dependency tree) and written **atomically**: the bytes go to
-//! a temporary file which is then renamed over the target, so a crash during
-//! the write leaves either the previous checkpoint or the new one, never a
-//! truncated hybrid. Writing durable state targets the *host* filesystem —
+//! Checkpoints are one flat JSON object (no serde in the dependency tree)
+//! written **atomically**: the bytes go to a temporary file which is synced
+//! and renamed over the target, and the directory is synced after the
+//! rename, so a crash leaves either the previous checkpoint or the new one,
+//! never a truncated hybrid. Durable state lives on the *host* filesystem —
 //! it models a separate durable store and is not charged to the simulated
 //! machine.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// When and where the cache-oblivious driver writes checkpoints.
+use emsim::EmConfig;
+
+use crate::Algorithm;
+
+/// When and where a recoverable run writes checkpoints.
 #[derive(Debug, Clone)]
 pub struct CheckpointSpec {
     /// Target file of the (atomically replaced) checkpoint.
     pub path: PathBuf,
-    /// Write a checkpoint at the first subproblem boundary after this many
-    /// simulated I/Os have accumulated since the previous checkpoint.
+    /// Write a checkpoint at the first unit claim after this many simulated
+    /// I/Os have accumulated since the previous checkpoint.
     pub interval_io: u64,
 }
 
-/// One pending subproblem of the depth-first stack (or one batched oversized
-/// leaf): enough to reconstruct its edge list from the root by a single
-/// compatibility-and-removal filter scan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeDescriptor {
-    /// Depth of the node in the colour-refinement tree.
-    pub depth: usize,
-    /// The node's colour vector `(c0, c1, c2)`.
-    pub target: (u64, u64, u64),
-    /// Sorted vertex ids removed by high-degree enumeration along the node's
-    /// ancestor path (removal sets at different levels are disjoint: a
-    /// removed vertex has no edges left below its removal level).
-    pub removed: Vec<u32>,
-}
-
-/// One frame of the serialised driver stack, bottom-to-top.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameDescriptor {
-    /// A pending subproblem.
-    Node(NodeDescriptor),
-    /// A gauge-lease marker: the ancestor's child-summary lease of `words`
-    /// words, released when the subtree below it completes. Restored on
-    /// resume so post-resume gauge accounting matches the crashed run's.
-    Release {
-        /// Leased words.
-        words: u64,
-    },
-}
-
-/// A complete, resumable snapshot of a cache-oblivious run.
+/// A resumable snapshot of a run: its identity plus the done prefix of its
+/// work-unit stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
-    /// Format version (current: 1).
+    /// Format version (current: [`CHECKPOINT_VERSION`]).
     pub version: u32,
-    /// Seed of the per-level refinement bits.
-    pub seed: u64,
-    /// Root edge count (sanity-checked against the input on resume).
+    /// The algorithm and its seed(s); one of the paper's three drivers.
+    pub algorithm: Algorithm,
+    /// Edge count of the input.
     pub edges: usize,
-    /// Depth limit `⌈log₄ E⌉` of the run.
-    pub depth_limit: usize,
-    /// Triangles durably committed when this checkpoint was taken — the
-    /// sink's high-water mark. Resume restarts emission numbering here.
+    /// Internal memory `M` in words (the cache-aware unit streams depend on
+    /// it).
+    pub mem_words: usize,
+    /// Block size `B` in words.
+    pub block_words: usize,
+    /// Units `0..units_done` are complete; a resume disowns them.
+    pub units_done: u64,
+    /// Triangles durably committed by those units — the sink's high-water
+    /// mark. Resume restarts emission numbering here.
     pub hwm: u64,
-    /// The driver stack, bottom-to-top.
-    pub frontier: Vec<FrameDescriptor>,
-    /// Every oversized depth-limit leaf batched since the run started, in
-    /// leaf-id order; replayed before the frontier on resume.
-    pub leaves: Vec<NodeDescriptor>,
 }
 
-/// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current checkpoint format version (version 1 was the removed DFS-frontier
+/// format of the cache-oblivious driver).
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 impl Checkpoint {
-    /// Serialises the checkpoint as flat JSON.
+    /// The checkpoint of `algorithm` on `edges` edges under `cfg` before any
+    /// unit is done.
+    pub(crate) fn start(algorithm: Algorithm, edges: usize, cfg: EmConfig) -> Checkpoint {
+        Checkpoint {
+            version: CHECKPOINT_VERSION,
+            algorithm,
+            edges,
+            mem_words: cfg.mem_words,
+            block_words: cfg.block_words,
+            units_done: 0,
+            hwm: 0,
+        }
+    }
+
+    /// Checks that this checkpoint was taken by a run of `algorithm` on
+    /// `edges` edges under `cfg`; a unit prefix of any other run means
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// Names the first parameter that differs.
+    pub(crate) fn check_run(
+        &self,
+        algorithm: Algorithm,
+        edges: usize,
+        cfg: EmConfig,
+    ) -> Result<(), String> {
+        let here = Checkpoint {
+            units_done: self.units_done,
+            hwm: self.hwm,
+            ..Checkpoint::start(algorithm, edges, cfg)
+        };
+        if *self == here {
+            return Ok(());
+        }
+        let differs = if self.algorithm != algorithm {
+            format!("algorithm {:?}, this run {algorithm:?}", self.algorithm)
+        } else if self.edges != edges {
+            format!("{} edges, this run {edges}", self.edges)
+        } else {
+            format!(
+                "M = {}, B = {}, this run M = {}, B = {}",
+                self.mem_words, self.block_words, cfg.mem_words, cfg.block_words
+            )
+        };
+        Err(format!("checkpoint is from a different run: {differs}"))
+    }
+
+    /// Serialises the checkpoint as one flat JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + 64 * (self.frontier.len() + self.leaves.len())); // emlint: allow(unleased, reason = "host-side durable-state serialisation, not simulated-machine memory")
-        out.push_str(&format!(
-            "{{\n  \"version\": {},\n  \"seed\": {},\n  \"edges\": {},\n  \"depth_limit\": {},\n  \"hwm\": {},\n",
-            self.version, self.seed, self.edges, self.depth_limit, self.hwm
-        ));
-        out.push_str("  \"frontier\": [");
-        for (i, frame) in self.frontier.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            match frame {
-                FrameDescriptor::Node(node) => out.push_str(&node_json(node)),
-                FrameDescriptor::Release { words } => {
-                    out.push_str(&format!("{{\"kind\": \"release\", \"words\": {words}}}"));
-                }
-            }
-        }
-        out.push_str("\n  ],\n  \"leaves\": [");
-        for (i, leaf) in self.leaves.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            out.push_str(&node_json(leaf));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let (seed, candidates) = match self.algorithm {
+            Algorithm::CacheAwareRandomized { seed }
+            | Algorithm::CacheObliviousRandomized { seed } => (seed, None),
+            Algorithm::DeterministicCacheAware {
+                family_seed,
+                candidates,
+            } => (family_seed, candidates),
+            Algorithm::HuTaoChung | Algorithm::SortBased | Algorithm::BlockNestedLoop => (0, None),
+        };
+        let candidates = candidates.map_or(String::new(), |c| format!("  \"candidates\": {c},\n"));
+        format!(
+            "{{\n  \"version\": {},\n  \"algorithm\": \"{}\",\n  \"seed\": {seed},\n{candidates}  \
+             \"edges\": {},\n  \"mem_words\": {},\n  \"block_words\": {},\n  \
+             \"units_done\": {},\n  \"hwm\": {}\n}}\n",
+            self.version,
+            self.algorithm.name(),
+            self.edges,
+            self.mem_words,
+            self.block_words,
+            self.units_done,
+            self.hwm
+        )
     }
 
     /// Parses a checkpoint from its JSON serialisation.
@@ -131,50 +148,42 @@ impl Checkpoint {
     /// # Errors
     ///
     /// Returns a description of the first syntactic or structural problem
-    /// (truncated file, wrong version, missing field, wrong type).
+    /// (truncated file, wrong version, missing field, wrong type, an
+    /// algorithm without work units).
     pub fn parse(text: &str) -> Result<Checkpoint, String> {
-        let value = Json::parse(text)?;
-        let obj = value.as_object("checkpoint")?;
-        let version = u32::try_from(get_u64(obj, "version")?)
-            .map_err(|_| "field 'version' out of range".to_string())?;
+        let fields = parse_flat_object(text)?;
+        let version: u32 = number(&fields, "version")?;
         if version != CHECKPOINT_VERSION {
             return Err(format!(
                 "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
             ));
         }
-        let edges = usize::try_from(get_u64(obj, "edges")?)
-            .map_err(|_| "field 'edges' out of range".to_string())?;
-        let depth_limit = usize::try_from(get_u64(obj, "depth_limit")?)
-            .map_err(|_| "field 'depth_limit' out of range".to_string())?;
-        let mut frontier = Vec::new(); // emlint: allow(unleased, reason = "host-side durable-state deserialisation, not simulated-machine memory")
-        for frame in get(obj, "frontier")?.as_array("frontier")? {
-            let fobj = frame.as_object("frontier entry")?;
-            if matches!(lookup(fobj, "kind"), Some(Json::Str(k)) if k == "release") {
-                frontier.push(FrameDescriptor::Release {
-                    words: get_u64(fobj, "words")?,
-                });
-            } else {
-                frontier.push(FrameDescriptor::Node(parse_node(fobj)?));
-            }
-        }
-        let mut leaves = Vec::new(); // emlint: allow(unleased, reason = "host-side durable-state deserialisation, not simulated-machine memory")
-        for leaf in get(obj, "leaves")?.as_array("leaves")? {
-            leaves.push(parse_node(leaf.as_object("leaf entry")?)?);
-        }
+        let seed = number(&fields, "seed")?;
+        let algorithm = match string(&fields, "algorithm")? {
+            "cache-aware-randomized" => Algorithm::CacheAwareRandomized { seed },
+            "cache-oblivious" => Algorithm::CacheObliviousRandomized { seed },
+            "deterministic-cache-aware" => Algorithm::DeterministicCacheAware {
+                family_seed: seed,
+                candidates: match lookup(&fields, "candidates") {
+                    Some(_) => Some(number(&fields, "candidates")?),
+                    None => None,
+                },
+            },
+            other => return Err(format!("algorithm '{other}' has no work units to resume")),
+        };
         Ok(Checkpoint {
             version,
-            seed: get_u64(obj, "seed")?,
-            edges,
-            depth_limit,
-            hwm: get_u64(obj, "hwm")?,
-            frontier,
-            leaves,
+            algorithm,
+            edges: number(&fields, "edges")?,
+            mem_words: number(&fields, "mem_words")?,
+            block_words: number(&fields, "block_words")?,
+            units_done: number(&fields, "units_done")?,
+            hwm: number(&fields, "hwm")?,
         })
     }
 
-    /// Writes the checkpoint atomically: serialise to `<path>.tmp`, sync,
-    /// rename over `path`. A crash mid-write leaves the previous checkpoint
-    /// intact.
+    /// Writes the checkpoint atomically (see [`atomic_write`]). A crash
+    /// mid-write leaves the previous checkpoint intact.
     pub fn write_atomic(&self, path: &Path) -> std::io::Result<()> {
         atomic_write(path, self.to_json().as_bytes())
     }
@@ -187,50 +196,51 @@ impl Checkpoint {
     }
 }
 
-fn node_json(node: &NodeDescriptor) -> String {
-    let mut removed = String::new();
-    for (i, v) in node.removed.iter().enumerate() {
-        if i > 0 {
-            removed.push_str(", ");
-        }
-        removed.push_str(&v.to_string());
-    }
-    let (c0, c1, c2) = node.target;
-    format!(
-        "{{\"kind\": \"node\", \"depth\": {}, \"target\": [{c0}, {c1}, {c2}], \"removed\": [{removed}]}}",
-        node.depth
-    )
+/// Splits `{"key": value, ...}` into its fields. Values are unsigned
+/// integers or strings without commas, which is all the format writes.
+fn parse_flat_object(text: &str) -> Result<Vec<(&str, &str)>, String> {
+    let body = text
+        .trim()
+        .strip_prefix('{')
+        .and_then(|t| t.strip_suffix('}'))
+        .ok_or("a checkpoint is one JSON object (truncated file?)")?;
+    // emlint: allow(unleased, reason = "host-side durable-state deserialisation, not simulated-machine memory")
+    body.split(',')
+        .map(|field| {
+            let (key, value) = field
+                .split_once(':')
+                .ok_or_else(|| format!("malformed field '{}'", field.trim()))?;
+            let key = unquote(key.trim()).ok_or_else(|| format!("malformed key {}", key.trim()))?;
+            Ok((key, value.trim()))
+        })
+        .collect()
 }
 
-fn parse_node(obj: &[(String, Json)]) -> Result<NodeDescriptor, String> {
-    let depth = usize::try_from(get_u64(obj, "depth")?)
-        .map_err(|_| "field 'depth' out of range".to_string())?;
-    let target = get(obj, "target")?.as_array("target")?;
-    if target.len() != 3 {
-        return Err("field 'target' must hold exactly three colours".to_string());
-    }
-    let target = (
-        target[0].as_u64("target[0]")?,
-        target[1].as_u64("target[1]")?,
-        target[2].as_u64("target[2]")?,
-    );
-    let mut removed = Vec::new(); // emlint: allow(unleased, reason = "host-side durable-state deserialisation, not simulated-machine memory")
-    for v in get(obj, "removed")?.as_array("removed")? {
-        removed.push(
-            u32::try_from(v.as_u64("removed entry")?)
-                .map_err(|_| "removed vertex id out of range".to_string())?,
-        );
-    }
-    Ok(NodeDescriptor {
-        depth,
-        target,
-        removed,
-    })
+fn unquote(s: &str) -> Option<&str> {
+    s.strip_prefix('"')?.strip_suffix('"')
 }
 
-/// Writes `bytes` to `path` atomically (temp file in the same directory,
-/// flush, rename). Shared by the checkpoint writer and the experiment-record
-/// writer so no crashed run can leave a truncated artifact.
+fn lookup<'t>(fields: &[(&str, &'t str)], key: &str) -> Option<&'t str> {
+    fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+}
+
+fn string<'t>(fields: &[(&str, &'t str)], key: &str) -> Result<&'t str, String> {
+    let value = lookup(fields, key).ok_or_else(|| format!("missing field '{key}'"))?;
+    unquote(value).ok_or_else(|| format!("field '{key}': expected a string"))
+}
+
+fn number<T: std::str::FromStr>(fields: &[(&str, &str)], key: &str) -> Result<T, String> {
+    let value = lookup(fields, key).ok_or_else(|| format!("missing field '{key}'"))?;
+    value
+        .parse()
+        .map_err(|_| format!("field '{key}': expected an unsigned integer, got '{value}'"))
+}
+
+/// Writes `bytes` to `path` atomically: temp file in the same directory,
+/// flush and sync, rename, then (on unix) sync the directory so the rename
+/// itself survives a power loss. Shared by the checkpoint writer and the
+/// experiment-record writer so no crashed run can leave a truncated
+/// artifact.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
@@ -240,171 +250,19 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         f.write_all(bytes)?;
         f.sync_all()?;
     }
-    std::fs::rename(&tmp, path)
-}
-
-// ---------------------------------------------------------------------------
-// A minimal recursive-descent JSON reader: just enough for the checkpoint
-// format (objects, arrays, unsigned integers, plain strings). Kept here so
-// the core crate stays free of serialisation dependencies.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
+    std::fs::rename(&tmp, path)?;
+    // Without this the rename may still sit in the directory's page cache:
+    // a power loss would bring back the previous checkpoint while the sink
+    // has already committed past its high-water mark.
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()?;
     }
-
-    fn as_object(&self, what: &str) -> Result<&[(String, Json)], String> {
-        match self {
-            Json::Obj(fields) => Ok(fields),
-            _ => Err(format!("{what}: expected an object")),
-        }
-    }
-
-    fn as_array(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            _ => Err(format!("{what}: expected an array")),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, String> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            _ => Err(format!("{what}: expected an unsigned integer")),
-        }
-    }
-}
-
-fn lookup<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    lookup(obj, key).ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
-    get(obj, key)?.as_u64(key)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(c) if c.is_ascii_digit() => parse_number(bytes, pos),
-        Some(c) => Err(format!("unexpected byte '{}' at {}", *c as char, *pos)),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // consume '{'
-    let mut fields = Vec::new(); // emlint: allow(unleased, reason = "host-side durable-state deserialisation, not simulated-machine memory")
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new(); // emlint: allow(unleased, reason = "host-side durable-state deserialisation, not simulated-machine memory")
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected '\"' at byte {pos}"));
-    }
-    *pos += 1;
-    let start = *pos;
-    while let Some(&c) = bytes.get(*pos) {
-        if c == b'"' {
-            let s = std::str::from_utf8(&bytes[start..*pos])
-                .map_err(|_| "invalid UTF-8 in string".to_string())?
-                .to_string();
-            *pos += 1;
-            return Ok(s);
-        }
-        if c == b'\\' {
-            return Err("escape sequences are not used by the checkpoint format".to_string());
-        }
-        *pos += 1;
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -413,51 +271,45 @@ mod tests {
 
     fn sample() -> Checkpoint {
         Checkpoint {
-            version: CHECKPOINT_VERSION,
-            seed: 7,
-            edges: 2_000,
-            depth_limit: 6,
+            units_done: 17,
             hwm: 123,
-            frontier: vec![
-                FrameDescriptor::Node(NodeDescriptor {
-                    depth: 0,
-                    target: (1, 1, 1),
-                    removed: vec![],
-                }),
-                FrameDescriptor::Release { words: 264 },
-                FrameDescriptor::Node(NodeDescriptor {
-                    depth: 2,
-                    target: (3, 4, 4),
-                    removed: vec![5, 17, 99],
-                }),
-            ],
-            leaves: vec![NodeDescriptor {
-                depth: 6,
-                target: (41, 42, 43),
-                removed: vec![2],
-            }],
+            ..Checkpoint::start(
+                Algorithm::CacheObliviousRandomized { seed: 7 },
+                2_000,
+                EmConfig::new(1 << 10, 32),
+            )
         }
     }
 
     #[test]
     fn json_round_trip_is_lossless() {
-        let c = sample();
-        let parsed = Checkpoint::parse(&c.to_json()).unwrap();
-        assert_eq!(parsed, c);
+        let cfg = EmConfig::new(512, 16);
+        let derand = |candidates| Checkpoint {
+            units_done: 4,
+            hwm: 9,
+            ..Checkpoint::start(
+                Algorithm::DeterministicCacheAware {
+                    family_seed: u64::MAX,
+                    candidates,
+                },
+                900,
+                cfg,
+            )
+        };
+        for c in [sample(), derand(Some(16)), derand(None)] {
+            assert_eq!(Checkpoint::parse(&c.to_json()).unwrap(), c);
+        }
     }
 
+    /// A fresh run's checkpoint — no unit done, nothing committed — is the
+    /// empty progress record (the frontier and leaf log of the removed
+    /// version-1 format); it must round-trip like any other.
     #[test]
     fn empty_frontier_and_leaves_round_trip() {
-        let c = Checkpoint {
-            version: CHECKPOINT_VERSION,
-            seed: 0,
-            edges: 3,
-            depth_limit: 1,
-            hwm: 0,
-            frontier: vec![],
-            leaves: vec![],
-        };
-        assert_eq!(Checkpoint::parse(&c.to_json()).unwrap(), c);
+        let cfg = EmConfig::new(512, 16);
+        let fresh = Checkpoint::start(Algorithm::CacheAwareRandomized { seed: 0 }, 3, cfg);
+        assert_eq!((fresh.units_done, fresh.hwm), (0, 0));
+        assert_eq!(Checkpoint::parse(&fresh.to_json()).unwrap(), fresh);
     }
 
     #[test]
@@ -466,18 +318,55 @@ mod tests {
         let truncated = &json[..json.len() / 2];
         assert!(Checkpoint::parse(truncated).is_err());
         assert!(Checkpoint::parse("").is_err());
-        assert!(Checkpoint::parse("{\"version\": 1}")
+        assert!(Checkpoint::parse("{\"version\" 2}")
+            .unwrap_err()
+            .contains("malformed"));
+        assert!(
+            Checkpoint::parse(&json.replace("\"hwm\": 123", "\"hwm\": -1"))
+                .unwrap_err()
+                .contains("hwm")
+        );
+        assert!(Checkpoint::parse("{\"version\": 2}")
             .unwrap_err()
             .contains("missing field"));
-        let wrong_version = json.replace("\"version\": 1", "\"version\": 9");
+        assert!(
+            Checkpoint::parse(&json.replace("  \"units_done\": 17,\n", ""))
+                .unwrap_err()
+                .contains("missing field 'units_done'")
+        );
+        let wrong_version = json.replace("\"version\": 2", "\"version\": 1");
         assert!(Checkpoint::parse(&wrong_version)
             .unwrap_err()
             .contains("version"));
+        let baseline = json.replace("\"cache-oblivious\"", "\"hu-tao-chung\"");
+        assert!(Checkpoint::parse(&baseline)
+            .unwrap_err()
+            .contains("no work units"));
+    }
+
+    #[test]
+    fn a_checkpoint_from_a_different_run_is_rejected() {
+        let ck = sample();
+        let cfg = EmConfig::new(1 << 10, 32);
+        let alg = Algorithm::CacheObliviousRandomized { seed: 7 };
+        assert_eq!(ck.check_run(alg, 2_000, cfg), Ok(()));
+        let other_seed = Algorithm::CacheObliviousRandomized { seed: 8 };
+        let other_alg = Algorithm::CacheAwareRandomized { seed: 7 };
+        for (alg, edges, cfg, reason) in [
+            (other_seed, 2_000, cfg, "algorithm"),
+            (other_alg, 2_000, cfg, "algorithm"),
+            (alg, 1_999, cfg, "edges"),
+            (alg, 2_000, EmConfig::new(1 << 11, 32), "M = "),
+            (alg, 2_000, EmConfig::new(1 << 10, 64), "B = "),
+        ] {
+            let err = ck.check_run(alg, edges, cfg).unwrap_err();
+            assert!(err.contains(reason), "{err}");
+        }
     }
 
     #[test]
     fn atomic_write_replaces_and_leaves_no_temp_file() {
-        let dir = std::env::temp_dir().join("trienum-checkpoint-test");
+        let dir = std::env::temp_dir().join(format!("trienum-checkpoint-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.json");
         let c = sample();

@@ -19,7 +19,6 @@ use kwise::{BitFunctionFamily, RefinedColoring};
 use crate::cache_aware::{number_of_colors, run_colored, split_high_low_degree, ColoredRunOutcome};
 use crate::input::ExtGraph;
 use crate::potential::evaluate_candidates;
-use crate::sink::TriangleSink;
 use crate::stats::PhaseRecorder;
 use crate::workunit::ShardCursor;
 
@@ -40,29 +39,9 @@ pub(crate) struct DerandInfo {
     pub level_bounds: Vec<f64>,
 }
 
-/// Runs the deterministic cache-aware algorithm. `candidate_override`, when
-/// set, fixes the per-level candidate-family size (otherwise the
-/// `O(log² V)`-style recommendation of Lemma 6 is used).
-pub(crate) fn run_derandomized(
-    graph: &ExtGraph,
-    cfg: EmConfig,
-    family_seed: u64,
-    candidate_override: Option<usize>,
-    sink: &mut dyn TriangleSink,
-    recorder: &mut PhaseRecorder,
-) -> (ColoredRunOutcome, DerandInfo) {
-    run_derandomized_sharded(
-        graph,
-        cfg,
-        family_seed,
-        candidate_override,
-        sink,
-        recorder,
-        &mut ShardCursor::solo(),
-    )
-}
-
-/// [`run_derandomized`] under a shard cursor.
+/// Runs the deterministic cache-aware algorithm under `units`.
+/// `candidate_override`, when set, fixes the per-level candidate-family size
+/// (otherwise the `O(log² V)`-style recommendation of Lemma 6 is used).
 ///
 /// The greedy per-level bit selection (step 0) is **replicated** on every
 /// worker rather than sharded: each refinement level consumes the colouring
@@ -70,17 +49,16 @@ pub(crate) fn run_derandomized(
 /// chain that a statically assigned worker pool cannot split without
 /// cross-worker barriers. The selection is fully deterministic given
 /// `family_seed` — no worker-dependent state enters it — so every worker
-/// derives the identical colouring and then shares `run_colored`'s unit
-/// stream (high-degree vertices + pivot pairs), which is where the actual
-/// enumeration cost lives.
-pub(crate) fn run_derandomized_sharded(
+/// (and every resume) derives the identical colouring and then shares
+/// `run_colored`'s unit stream (high-degree vertices + pivot pairs), which
+/// is where the actual enumeration cost lives.
+pub(crate) fn run_derandomized(
     graph: &ExtGraph,
     cfg: EmConfig,
     family_seed: u64,
     candidate_override: Option<usize>,
-    sink: &mut dyn TriangleSink,
     recorder: &mut PhaseRecorder,
-    shard: &mut ShardCursor,
+    units: &mut ShardCursor<'_>,
 ) -> (ColoredRunOutcome, DerandInfo) {
     let machine = graph.machine().clone();
     let e = graph.edge_count();
@@ -134,7 +112,7 @@ pub(crate) fn run_derandomized_sharded(
     // The refined colouring assigns values in [1, c]; the shared driver
     // expects colours in [0, c).
     let color = move |v: u32| coloring.color(v) - 1;
-    let outcome = run_colored(graph, cfg, c, &color, sink, recorder, shard);
+    let outcome = run_colored(graph, cfg, c, &color, recorder, units);
 
     (
         outcome,
@@ -160,8 +138,9 @@ mod tests {
         let eg = ExtGraph::load(&machine, g);
         let mut sink = StrictSink::new();
         let mut rec = PhaseRecorder::new(machine.gauge());
-        let (out, info) = run_derandomized(&eg, cfg, 1, Some(24), &mut sink, &mut rec);
-        (out.triangles, out, info)
+        let mut units = ShardCursor::solo(&eg, &mut sink);
+        let (out, info) = run_derandomized(&eg, cfg, 1, Some(24), &mut rec, &mut units);
+        (units.emitted(), out, info)
     }
 
     #[test]
@@ -217,8 +196,9 @@ mod tests {
             let eg = ExtGraph::load(&machine, &g);
             let mut sink = StrictSink::new();
             let mut rec = PhaseRecorder::new(machine.gauge());
-            let (out, _) = run_derandomized(&eg, cfg, 1, Some(16), &mut sink, &mut rec);
-            assert_eq!(out.triangles, naive::count_triangles(&g));
+            let mut units = ShardCursor::solo(&eg, &mut sink);
+            let (out, _) = run_derandomized(&eg, cfg, 1, Some(16), &mut rec, &mut units);
+            assert_eq!(units.emitted(), naive::count_triangles(&g));
             out.step3_chunk_passes
         };
         let small = passes_at(256);

@@ -32,6 +32,14 @@
 //! assert_eq!(report.triangles, sink.count());
 //! println!("{} triangles using {}", report.triangles, report.io);
 //! ```
+//!
+//! ## Sharding and crash recovery
+//!
+//! Each paper driver numbers its independent pieces as one deterministic
+//! work-unit stream ([`workunit`]). [`enumerate_triangles_sharded`] deals
+//! that stream out to `P` worker machines; [`enumerate_triangles_with_recovery`]
+//! checkpoints its done prefix ([`checkpoint`]) and [`resume_enumeration`]
+//! continues a crashed run after it, for all three paper drivers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,8 +66,7 @@ pub use input::ExtGraph;
 pub use sink::{CollectingSink, CountingSink, DurableSink, FnSink, StrictSink, TriangleSink};
 pub use stats::RunReport;
 pub use workunit::{
-    enumerate_triangles_sharded, enumerate_triangles_sharded_with_checkpoint, ShardConfigError,
-    ShardPlan, ShardedReport, WorkUnit, WorkUnitKind,
+    enumerate_triangles_sharded, ShardConfigError, ShardPlan, ShardedReport, WorkUnit, WorkUnitKind,
 };
 
 // Re-export the configuration and machine types so downstream users need
@@ -68,8 +75,9 @@ pub use workunit::{
 // machine).
 pub use emsim::{BackendKind, EmConfig, Machine};
 
-use graphgen::{Graph, Triangle};
+use graphgen::Graph;
 use stats::PhaseRecorder;
+use workunit::ShardCursor;
 
 /// The triangle-enumeration algorithms available in this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,25 +165,6 @@ pub const ALL_ALGORITHMS: [Algorithm; 6] = [
     Algorithm::BlockNestedLoop,
 ];
 
-/// A sink adapter translating triangles from the canonical (degree-ordered)
-/// vertex ids back to the caller's original ids before forwarding them.
-struct TranslatingSink<'a> {
-    graph: &'a ExtGraph,
-    inner: &'a mut dyn TriangleSink,
-}
-
-impl TriangleSink for TranslatingSink<'_> {
-    fn emit(&mut self, t: Triangle) {
-        self.inner.emit(self.graph.translate(t));
-    }
-
-    fn on_checkpoint(&mut self) {
-        // Checkpoint boundaries must reach the wrapped sink — a DurableSink
-        // behind the translation commits its buffer on this signal.
-        self.inner.on_checkpoint();
-    }
-}
-
 /// Enumerates every triangle of `graph` with the chosen `algorithm` on a
 /// simulated external-memory machine configured by `cfg`, forwarding each
 /// triangle (in the caller's original vertex ids) to `sink` exactly once.
@@ -208,118 +197,8 @@ pub fn enumerate_triangles_on(
     algorithm: Algorithm,
     sink: &mut dyn TriangleSink,
 ) -> RunReport {
-    let cfg = machine.config();
     let ext = ExtGraph::load(machine, graph);
-    // Start from a cold cache and a clean slate of counters for the run
-    // itself (the load cost is excluded, as in the model).
-    machine.cold_cache();
-    machine.gauge().reset_peak();
-    let before = machine.stats();
-
-    let mut recorder = PhaseRecorder::new(machine.gauge());
-    // emlint: allow(unleased, reason = "run-report bookkeeping outside the measured region, not algorithm memory")
-    let mut extra: Vec<(String, f64)> = Vec::new();
-    let triangles = {
-        let mut translating = TranslatingSink {
-            graph: &ext,
-            inner: sink,
-        };
-        match algorithm {
-            Algorithm::CacheAwareRandomized { seed } => {
-                let out = cache_aware::run_cache_aware_randomized(
-                    &ext,
-                    cfg,
-                    seed,
-                    &mut translating,
-                    &mut recorder,
-                );
-                extra.push(("colors".into(), out.colors as f64));
-                extra.push(("x_statistic".into(), out.x_statistic as f64));
-                extra.push((
-                    "high_degree_vertices".into(),
-                    out.high_degree_vertices as f64,
-                ));
-                extra.push(("step3_chunk_passes".into(), out.step3_chunk_passes as f64));
-                out.triangles
-            }
-            Algorithm::DeterministicCacheAware {
-                family_seed,
-                candidates,
-            } => {
-                let (out, info) = derandomized::run_derandomized(
-                    &ext,
-                    cfg,
-                    family_seed,
-                    candidates,
-                    &mut translating,
-                    &mut recorder,
-                );
-                extra.push(("colors".into(), info.colors as f64));
-                extra.push(("x_statistic".into(), out.x_statistic as f64));
-                extra.push(("greedy_levels".into(), info.levels as f64));
-                extra.push(("candidates_per_level".into(), info.candidates as f64));
-                extra.push(("step3_chunk_passes".into(), out.step3_chunk_passes as f64));
-                out.triangles
-            }
-            Algorithm::CacheObliviousRandomized { seed } => {
-                let (n, stats) = cache_oblivious::run_cache_oblivious(
-                    &ext,
-                    seed,
-                    &mut translating,
-                    &mut recorder,
-                );
-                extra.push(("subproblems".into(), stats.subproblems as f64));
-                extra.push(("max_recursion_depth".into(), stats.max_depth as f64));
-                extra.push((
-                    "high_degree_truncations".into(),
-                    stats.high_degree_truncations as f64,
-                ));
-                extra.push(("partition_sweeps".into(), stats.partition_sweeps as f64));
-                n
-            }
-            Algorithm::HuTaoChung => {
-                let io0 = machine.io();
-                let n = baselines::hu_tao_chung::run_hu_tao_chung(&ext, cfg, &mut translating);
-                recorder.record("pivot_join", io0, machine.io());
-                n
-            }
-            Algorithm::SortBased => {
-                let io0 = machine.io();
-                let n = baselines::dementiev::sort_based_enumeration(
-                    ext.edges(),
-                    util::SortKind::Aware,
-                    |_| true,
-                    &mut translating,
-                );
-                recorder.record("wedge_sort_join", io0, machine.io());
-                n
-            }
-            Algorithm::BlockNestedLoop => {
-                let io0 = machine.io();
-                let n = baselines::nested_loop::run_block_nested_loop(&ext, cfg, &mut translating);
-                recorder.record("nested_loops", io0, machine.io());
-                n
-            }
-        }
-    };
-
-    let after = machine.stats();
-    let delta = after.since(&before);
-    let (phases, phase_peaks) = recorder.into_parts();
-    RunReport {
-        algorithm: algorithm.name().to_string(),
-        config: cfg,
-        edges: ext.edge_count(),
-        vertices: ext.vertex_count(),
-        triangles,
-        io: delta.io,
-        phases,
-        phase_peaks,
-        peak_mem_words: after.peak_mem_words,
-        peak_disk_words: after.peak_disk_words,
-        work_ops: delta.work_ops,
-        extra,
-    }
+    run_measured(&ext, algorithm, &mut ShardCursor::solo(&ext, sink))
 }
 
 /// Convenience wrapper: enumerate and return only the triangle count and the
@@ -330,17 +209,19 @@ pub fn count_triangles(graph: &Graph, algorithm: Algorithm, cfg: EmConfig) -> (u
     (sink.count(), report)
 }
 
-/// Crash-safe cache-oblivious enumeration on a caller-built machine.
+/// Crash-safe enumeration on a caller-built machine.
 ///
 /// Unlike [`enumerate_triangles`], the machine is supplied by the caller —
 /// typically [`Machine::with_faults`] under a chaos harness — and emissions
 /// reach `sink` only at checkpoint boundaries (and at successful
 /// completion), buffered through a [`DurableSink`]. When `spec` is `Some`,
-/// the run writes an atomic checkpoint to `spec.path` at each subproblem
-/// boundary that crosses `spec.interval_io` simulated I/Os; a later
-/// [`resume_enumeration`] against that file (and the same `graph`/`seed`,
-/// on a fresh machine) replays to the bit-identical triangle multiset with
-/// exactly-once delivery across the crash boundary.
+/// a run of one of the paper's three drivers atomically writes its done
+/// unit prefix to `spec.path` at the first unit claim after every
+/// `spec.interval_io` simulated I/Os (see [`checkpoint`]); a later
+/// [`resume_enumeration`] against that file (same `graph`, `algorithm` and
+/// configuration, on a fresh machine) delivers exactly the remaining
+/// triangles. Baselines have no work units: they never checkpoint, and a
+/// crashed baseline run is rerun from scratch.
 ///
 /// A `CrashAt` fault surfaces as a panic carrying [`emsim::CrashPoint`];
 /// the harness catches it, discards the dead machine (uncommitted buffered
@@ -348,95 +229,91 @@ pub fn count_triangles(graph: &Graph, algorithm: Algorithm, cfg: EmConfig) -> (u
 pub fn enumerate_triangles_with_recovery(
     graph: &Graph,
     machine: &Machine,
-    seed: u64,
+    algorithm: Algorithm,
     sink: &mut dyn TriangleSink,
     spec: Option<&CheckpointSpec>,
 ) -> RunReport {
-    run_recoverable(graph, machine, seed, sink, spec, None)
+    run_recoverable(graph, machine, algorithm, sink, spec, None)
 }
 
 /// Resumes a crashed [`enumerate_triangles_with_recovery`] run from its last
 /// checkpoint, on a fresh `machine`. `sink` must be the same sink (or one
 /// holding the same state) the crashed run committed into: the checkpoint's
 /// high-water mark says how many triangles it already holds, and the resumed
-/// run delivers exactly the remainder. Passing `spec` keeps checkpointing
-/// armed across the resume, so repeated crashes stay recoverable.
+/// run — the same driver with every unit of the done prefix disowned —
+/// delivers exactly the remainder. Passing `spec` keeps checkpointing armed
+/// across the resume, so repeated crashes stay recoverable.
+///
+/// # Panics
+///
+/// Panics if `checkpoint` was not taken by a run of `algorithm` on `graph`
+/// under this machine's configuration (the same algorithm and seed(s), edge
+/// count, `M` and `B`): a unit prefix of any other run means nothing.
 pub fn resume_enumeration(
     graph: &Graph,
     machine: &Machine,
+    algorithm: Algorithm,
     checkpoint: &Checkpoint,
     sink: &mut dyn TriangleSink,
     spec: Option<&CheckpointSpec>,
 ) -> RunReport {
-    run_recoverable(
-        graph,
-        machine,
-        checkpoint.seed,
-        sink,
-        spec,
-        Some(checkpoint),
-    )
+    run_recoverable(graph, machine, algorithm, sink, spec, Some(checkpoint))
 }
 
 fn run_recoverable(
     graph: &Graph,
     machine: &Machine,
-    seed: u64,
+    algorithm: Algorithm,
     sink: &mut dyn TriangleSink,
     spec: Option<&CheckpointSpec>,
     resume: Option<&Checkpoint>,
 ) -> RunReport {
-    let cfg = machine.config();
     let ext = ExtGraph::load(machine, graph);
-    machine.cold_cache();
-    machine.gauge().reset_peak();
-    let before = machine.stats();
-
-    let mut recorder = PhaseRecorder::new(machine.gauge());
+    if let Some(ck) = resume {
+        if let Err(e) = ck.check_run(algorithm, ext.edge_count(), machine.config()) {
+            panic!("cannot resume: {e}");
+        }
+    }
     let mut durable = DurableSink::resume_from(sink, resume.map_or(0, |c| c.hwm));
-    let (triangles, stats) = {
-        let mut translating = TranslatingSink {
-            graph: &ext,
-            inner: &mut durable,
-        };
-        cache_oblivious::run_cache_oblivious_recoverable(
-            &ext,
-            seed,
-            &mut translating,
-            &mut recorder,
-            spec,
-            resume,
-        )
+    let report = {
+        let mut cursor = ShardCursor::recoverable(&ext, &mut durable, algorithm, resume, spec);
+        run_measured(&ext, algorithm, &mut cursor)
     };
     // The run completed: deliver the tail buffered since the last
     // checkpoint. (On a crash this line is never reached and the tail dies
     // with the buffer — exactly what resume replays.)
     durable.commit();
-    debug_assert_eq!(durable.committed(), triangles);
+    debug_assert_eq!(durable.committed(), report.triangles);
+    report
+}
+
+/// The one measured run every entry point shares: starts from a cold cache
+/// and clean counters (the graph load is excluded, as in the model), runs
+/// `algorithm` under `cursor`, and reports what the run cost.
+pub(crate) fn run_measured(
+    ext: &ExtGraph,
+    algorithm: Algorithm,
+    cursor: &mut ShardCursor<'_>,
+) -> RunReport {
+    let machine = ext.machine();
+    machine.cold_cache();
+    machine.gauge().reset_peak();
+    let before = machine.stats();
+
+    let mut recorder = PhaseRecorder::new(machine.gauge());
+    let mut extra = run_algorithm(ext, algorithm, &mut recorder, cursor);
 
     let after = machine.stats();
     let delta = after.since(&before);
+    extra.push(("retry_io".into(), delta.retry_io as f64));
+    extra.push(("retry_work".into(), delta.retry_work as f64));
     let (phases, phase_peaks) = recorder.into_parts();
-    // emlint: allow(unleased, reason = "run-report bookkeeping outside the measured region, not algorithm memory")
-    let extra: Vec<(String, f64)> = vec![
-        ("subproblems".into(), stats.subproblems as f64),
-        ("max_recursion_depth".into(), stats.max_depth as f64),
-        (
-            "high_degree_truncations".into(),
-            stats.high_degree_truncations as f64,
-        ),
-        ("partition_sweeps".into(), stats.partition_sweeps as f64),
-        ("retry_io".into(), delta.retry_io as f64),
-        ("retry_work".into(), delta.retry_work as f64),
-    ];
     RunReport {
-        algorithm: Algorithm::CacheObliviousRandomized { seed }
-            .name()
-            .to_string(),
-        config: cfg,
+        algorithm: algorithm.name().to_string(),
+        config: machine.config(),
         edges: ext.edge_count(),
         vertices: ext.vertex_count(),
-        triangles,
+        triangles: cursor.emitted(),
         io: delta.io,
         phases,
         phase_peaks,
@@ -445,6 +322,85 @@ fn run_recoverable(
         work_ops: delta.work_ops,
         extra,
     }
+}
+
+/// The one algorithm dispatch: runs `algorithm` with `cursor` as its unit
+/// stream and output, and returns the algorithm-specific report rows.
+fn run_algorithm(
+    ext: &ExtGraph,
+    algorithm: Algorithm,
+    recorder: &mut PhaseRecorder,
+    cursor: &mut ShardCursor<'_>,
+) -> Vec<(String, f64)> {
+    let machine = ext.machine();
+    let cfg = machine.config();
+    let io0 = machine.io();
+    match algorithm {
+        Algorithm::CacheAwareRandomized { seed } => {
+            let out = cache_aware::run_cache_aware_randomized(ext, cfg, seed, recorder, cursor);
+            rows([
+                ("colors", out.colors as f64),
+                ("x_statistic", out.x_statistic as f64),
+                ("high_degree_vertices", out.high_degree_vertices as f64),
+                ("step3_chunk_passes", out.step3_chunk_passes as f64),
+            ])
+        }
+        Algorithm::DeterministicCacheAware {
+            family_seed,
+            candidates,
+        } => {
+            let (out, info) =
+                derandomized::run_derandomized(ext, cfg, family_seed, candidates, recorder, cursor);
+            rows([
+                ("colors", info.colors as f64),
+                ("x_statistic", out.x_statistic as f64),
+                ("greedy_levels", info.levels as f64),
+                ("candidates_per_level", info.candidates as f64),
+                ("step3_chunk_passes", out.step3_chunk_passes as f64),
+            ])
+        }
+        Algorithm::CacheObliviousRandomized { seed } => {
+            let stats = cache_oblivious::run_cache_oblivious(ext, seed, recorder, cursor);
+            rows([
+                ("subproblems", stats.subproblems as f64),
+                ("max_recursion_depth", stats.max_depth as f64),
+                (
+                    "high_degree_truncations",
+                    stats.high_degree_truncations as f64,
+                ),
+                ("partition_sweeps", stats.partition_sweeps as f64),
+            ])
+        }
+        Algorithm::HuTaoChung => {
+            baselines::hu_tao_chung::run_hu_tao_chung(ext, cfg, cursor);
+            recorder.record("pivot_join", io0, machine.io());
+            rows([])
+        }
+        Algorithm::SortBased => {
+            baselines::dementiev::sort_based_enumeration(
+                ext.edges(),
+                util::SortKind::Aware,
+                |_| true,
+                cursor,
+            );
+            recorder.record("wedge_sort_join", io0, machine.io());
+            rows([])
+        }
+        Algorithm::BlockNestedLoop => {
+            baselines::nested_loop::run_block_nested_loop(ext, cfg, cursor);
+            recorder.record("nested_loops", io0, machine.io());
+            rows([])
+        }
+    }
+}
+
+/// Named report rows.
+fn rows<const N: usize>(pairs: [(&str, f64); N]) -> Vec<(String, f64)> {
+    // emlint: allow(unleased, reason = "run-report bookkeeping outside the measured region, not algorithm memory")
+    pairs
+        .iter()
+        .map(|&(name, v)| (name.to_string(), v))
+        .collect()
 }
 
 #[cfg(test)]
@@ -513,6 +469,25 @@ mod tests {
         assert!(hu < bnl);
     }
 
+    /// The paper's three drivers, each with its work-unit stream.
+    fn paper_drivers(seed: u64) -> [Algorithm; 3] {
+        [
+            Algorithm::CacheAwareRandomized { seed },
+            Algorithm::CacheObliviousRandomized { seed },
+            Algorithm::DeterministicCacheAware {
+                family_seed: seed,
+                candidates: Some(12),
+            },
+        ]
+    }
+
+    /// A per-test, per-process scratch directory for checkpoint files.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("trienum-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn recovery_entry_point_on_a_healthy_machine_matches_the_plain_run_exactly() {
         // The fault/checkpoint layer is pay-for-what-you-use: with no fault
@@ -520,23 +495,155 @@ mod tests {
         // reproduce the ordinary run's triangles, I/O and work to the digit.
         let g = generators::erdos_renyi(150, 1100, 12);
         let cfg = EmConfig::new(512, 32);
-        let mut plain_sink = CollectingSink::new();
-        let plain = enumerate_triangles(
-            &g,
-            Algorithm::CacheObliviousRandomized { seed: 6 },
-            cfg,
-            &mut plain_sink,
-        );
-        let machine = Machine::new(cfg);
-        let mut safe_sink = CollectingSink::new();
-        let safe = enumerate_triangles_with_recovery(&g, &machine, 6, &mut safe_sink, None);
-        assert_eq!(plain.triangles, safe.triangles);
-        assert_eq!(plain.io, safe.io);
-        assert_eq!(plain.work_ops, safe.work_ops);
-        assert_eq!(plain.peak_disk_words, safe.peak_disk_words);
-        assert_eq!(plain_sink.triangles(), safe_sink.triangles());
-        assert_eq!(safe.extra("retry_io"), Some(0.0));
-        assert_eq!(safe.extra("retry_work"), Some(0.0));
+        for alg in paper_drivers(6) {
+            let mut plain_sink = CollectingSink::new();
+            let plain = enumerate_triangles(&g, alg, cfg, &mut plain_sink);
+            let machine = Machine::new(cfg);
+            let mut safe_sink = CollectingSink::new();
+            let safe = enumerate_triangles_with_recovery(&g, &machine, alg, &mut safe_sink, None);
+            assert_eq!(plain.triangles, safe.triangles, "{alg:?}");
+            assert_eq!(plain.io, safe.io, "{alg:?}");
+            assert_eq!(plain.work_ops, safe.work_ops, "{alg:?}");
+            assert_eq!(plain.peak_disk_words, safe.peak_disk_words, "{alg:?}");
+            assert_eq!(plain_sink.triangles(), safe_sink.triangles(), "{alg:?}");
+            assert_eq!(safe.extra("retry_io"), Some(0.0));
+            assert_eq!(safe.extra("retry_work"), Some(0.0));
+        }
+    }
+
+    #[test]
+    fn checkpointed_run_is_bit_identical_to_a_plain_run() {
+        // Arming checkpoints must not change the emission sequence, the I/O
+        // count or the work count — a checkpoint is a host-side write of two
+        // counters at a unit claim.
+        let g = generators::erdos_renyi(200, 1600, 21);
+        let cfg = EmConfig::new(256, 32);
+        let dir = scratch_dir("ckpt-bitident");
+        for alg in paper_drivers(9) {
+            let spec = CheckpointSpec {
+                path: dir.join(format!("{}.ckpt", alg.name())),
+                interval_io: 40,
+            };
+            let run = |spec: Option<&CheckpointSpec>| {
+                let machine = Machine::new(cfg);
+                let mut sink = CollectingSink::new();
+                let report = enumerate_triangles_with_recovery(&g, &machine, alg, &mut sink, spec);
+                (
+                    report.triangles,
+                    sink.into_triangles(),
+                    report.io,
+                    report.work_ops,
+                )
+            };
+            let plain = run(None);
+            let armed = run(Some(&spec));
+            assert_eq!(plain, armed, "{alg:?}");
+            // The interval was small enough that a checkpoint landed past
+            // the first unit.
+            let ck = Checkpoint::load(&spec.path).expect("a checkpoint was written");
+            assert_eq!(ck.check_run(alg, 1600, cfg), Ok(()));
+            assert!(ck.units_done >= 1, "{alg:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_from_a_mid_run_checkpoint_completes_the_exact_multiset() {
+        // Crash each driver at the midpoint of its unit phase, resume from
+        // the last checkpoint on a fresh machine (crashing again until a
+        // resume completes), and require the union of committed triangles to
+        // be the oracle set, each exactly once.
+        use emsim::{CrashPoint, FaultPlan};
+
+        let g = generators::erdos_renyi(160, 1400, 33);
+        let cfg = EmConfig::new(256, 32);
+        let mut expected = graphgen::naive::enumerate_triangles(&g);
+        expected.sort_unstable();
+        let dir = scratch_dir("ckpt-resume");
+        for alg in paper_drivers(4) {
+            let probe = Machine::new(cfg);
+            let report = enumerate_triangles_on(&probe, &g, alg, &mut CountingSink::new());
+            // CrashAt counts logical transfers from machine creation, so aim
+            // the kill switch past the load preamble, at the midpoint of the
+            // phase that claims the units (the cache-aware drivers replicate
+            // their colouring and partition phases before any unit).
+            let preamble = probe.transfers() - report.io.total();
+            let unit_phase = match alg {
+                Algorithm::CacheObliviousRandomized { .. } => "recursion",
+                _ => "step3_color_triples",
+            };
+            let phase_start: u64 = report
+                .phases
+                .iter()
+                .take_while(|(name, _)| name != unit_phase)
+                .map(|(_, io)| io.total())
+                .sum();
+            let phase_io = report.phase_io(unit_phase).expect("unit phase").total();
+            let crash_at = preamble + phase_start + phase_io / 2;
+            let spec = CheckpointSpec {
+                path: dir.join(format!("{}.ckpt", alg.name())),
+                interval_io: 30,
+            };
+
+            // Every attempt keeps checkpointing armed and dies at the same
+            // transfer ordinal, so each resume — shorter by its disowned
+            // prefix — crashes further into the unit stream until one
+            // completes.
+            let mut collected = CollectingSink::new();
+            let mut last: Option<Checkpoint> = None;
+            let mut crashes = 0;
+            let (resumed, machine) = loop {
+                let machine = Machine::with_faults(cfg, FaultPlan::new(1).with_crash_at(crash_at));
+                let attempt =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &last {
+                        None => enumerate_triangles_with_recovery(
+                            &g,
+                            &machine,
+                            alg,
+                            &mut collected,
+                            Some(&spec),
+                        ),
+                        Some(ck) => {
+                            resume_enumeration(&g, &machine, alg, ck, &mut collected, Some(&spec))
+                        }
+                    }));
+                let payload = match attempt {
+                    Ok(report) => break (report, machine),
+                    Err(payload) => payload,
+                };
+                assert!(payload.downcast_ref::<CrashPoint>().is_some());
+                crashes += 1;
+                let ck = Checkpoint::load(&spec.path).expect("a checkpoint survived the crash");
+                assert_eq!(
+                    ck.hwm,
+                    collected.len() as u64,
+                    "{alg:?}: hwm != committed count"
+                );
+                assert!(
+                    ck.units_done > last.as_ref().map_or(0, |c| c.units_done),
+                    "{alg:?}: a crash made no progress past the previous checkpoint"
+                );
+                assert!(
+                    ck.hwm < report.triangles,
+                    "{alg:?}: the crash must interrupt mid-run"
+                );
+                last = Some(ck);
+            };
+            assert!(crashes >= 2, "{alg:?}: an armed resume must crash too");
+            assert_eq!(resumed.triangles, report.triangles, "{alg:?}");
+            assert!(
+                resumed.io.total() < report.io.total(),
+                "{alg:?}: resume redid the prefix"
+            );
+            let mut got = collected.into_triangles();
+            got.sort_unstable();
+            assert_eq!(
+                got, expected,
+                "{alg:?}: not the oracle multiset exactly once"
+            );
+            assert_eq!(machine.gauge().in_use(), 0, "no leaked leases after resume");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

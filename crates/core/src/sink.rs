@@ -108,8 +108,9 @@ impl TriangleSink for CollectingSink {
 
 /// A write-ahead buffer that makes an inner sink's view crash-consistent:
 /// emissions are held back until [`TriangleSink::on_checkpoint`] commits
-/// them, so a crash between checkpoints discards exactly the triangles whose
-/// originating subproblems the matching resume will replay.
+/// them, so a crash between checkpoints discards exactly the triangles of
+/// the work units the matching resume will run again (those at or after the
+/// checkpoint's `units_done`).
 ///
 /// The committed count is the *high-water mark* persisted in each
 /// [`crate::checkpoint::Checkpoint`]; [`DurableSink::resume_from`] restores

@@ -9,8 +9,8 @@
 //!
 //! * Every driver exposes its independent pieces as **work units** — the
 //!   Lemma 1 high-degree vertices and the non-empty pivot colour pairs
-//!   `(τ2, τ3)` of the cache-aware step 3, and the top-of-tree subtrees (at a
-//!   configurable spawn depth) plus the top-of-tree leaf/high-degree
+//!   `(τ2, τ3)` of the cache-aware step 3, and the top-of-tree subtrees (at
+//!   [`DEFAULT_SPAWN_DEPTH`]) plus the top-of-tree leaf/high-degree
 //!   emissions of the cache-oblivious refinement. Units are numbered by a
 //!   single cursor ticking in the driver's deterministic execution order, so
 //!   the numbering is identical on every worker and *independent of `P`*.
@@ -31,24 +31,30 @@
 //!
 //! With `P = 1` every unit is owned, the claim calls degenerate to counter
 //! increments charged to nothing, and the worker performs *exactly* the
-//! sequential driver's operation sequence — the refactor is zero-cost, and
-//! the E10 gate pins `sum_io` at `P = 1` to the sequential driver's I/O.
+//! sequential driver's operation sequence — the sequential entry points are
+//! this one-worker run, and the E10 gate pins `sum_io` at `P = 1` to their
+//! I/O.
+//!
+//! The same stream is the unit of crash recovery: a checkpoint records the
+//! done prefix of a sequential run's unit stream, and a resume disowns that
+//! prefix the way a worker disowns other workers' units (see
+//! [`crate::checkpoint`]).
 
 use emsim::{BackendKind, EmConfig, ExtVec, IoStats, Machine, PhaseSnapshot, WorkerReport};
 use graphgen::{Graph, Triangle};
 
-use crate::checkpoint::CheckpointSpec;
+use crate::checkpoint::{Checkpoint, CheckpointSpec};
 use crate::input::ExtGraph;
 use crate::sink::{CollectingSink, TriangleSink};
-use crate::stats::{PhaseRecorder, RunReport};
-use crate::{cache_aware, cache_oblivious, derandomized};
-use crate::{Algorithm, TranslatingSink};
+use crate::stats::RunReport;
+use crate::{run_measured, Algorithm};
 
-/// Default spawn depth of the cache-oblivious driver: subtrees rooted at
-/// depth 2 of the colour-refinement tree become work units (up to `8² = 64`
-/// of them — comfortably more than the worker counts E10 sweeps, so the
-/// round-robin assignment balances well), while the two levels above are
-/// replicated on every worker.
+/// Spawn depth of the cache-oblivious driver: subtrees rooted at depth 2 of
+/// the colour-refinement tree become work units (up to `8² = 64` of them —
+/// comfortably more than the worker counts E10 sweeps, so the round-robin
+/// assignment balances well), while the two levels above are replicated on
+/// every worker. A constant, so the unit stream — and with it every
+/// checkpoint — is a function of the run's inputs alone.
 pub const DEFAULT_SPAWN_DEPTH: usize = 2;
 
 /// One schedulable piece of a driver's execution, as logged by the unit
@@ -71,7 +77,7 @@ pub enum WorkUnitKind {
     /// Cache-oblivious: a whole subtree of the colour-refinement tree rooted
     /// at the spawn depth.
     RefinementSubtree {
-        /// Depth of the subtree root (always the plan's spawn depth).
+        /// Depth of the subtree root (always [`DEFAULT_SPAWN_DEPTH`]).
         depth: usize,
         /// Colour-vector target of the subtree root.
         target: (u64, u64, u64),
@@ -105,50 +111,102 @@ pub struct WorkUnit {
     pub kind: WorkUnitKind,
 }
 
-/// The deterministic unit→worker assignment: a counter over the driver's
-/// unit stream plus this worker's identity. `claim` answers "is the next
-/// unit mine?" — `unit_index % workers == worker`, the timely idiom.
+/// A driver's handle on its run: the unit→worker assignment, the output
+/// channel, and the checkpoint hook.
 ///
-/// The cursor must tick identically on every worker: drivers call `claim`
-/// at points whose reachability depends only on the (seed-deterministic,
-/// worker-replicated) computation, never on what a worker skipped.
-#[derive(Debug)]
-pub(crate) struct ShardCursor {
+/// * `claim` ticks a counter over the driver's unit stream and answers "is
+///   the next unit mine?" — `unit_index % workers == worker`, the timely
+///   idiom — except that units below `first_owned` (the done prefix of a
+///   resumed run) belong to nobody.
+/// * As a [`TriangleSink`] it translates each triangle back to the caller's
+///   vertex ids, forwards it, and counts it.
+/// * With a [`CheckpointSpec`] armed, a claim that comes at least
+///   `interval_io` charged I/Os after the previous checkpoint first writes
+///   the checkpoint `units_done = this claim's index`, `hwm = emitted so
+///   far`, and then commits the sink.
+///
+/// The cursor must tick identically on every worker and on every resume:
+/// drivers call `claim` at points whose reachability depends only on the
+/// (seed-deterministic, worker-replicated) computation, never on what a
+/// worker skipped. Claims charge no I/O and no work, so a one-worker cursor
+/// leaves the sequential accounting untouched.
+pub(crate) struct ShardCursor<'s> {
+    graph: &'s ExtGraph,
+    sink: &'s mut dyn TriangleSink,
+    /// Triangles emitted, counted from the resumed high-water mark.
+    emitted: u64,
     worker: u64,
     workers: u64,
     next_unit: u64,
+    /// Units below this index are done (a resumed run's checkpoint prefix).
+    first_owned: u64,
     /// `Some` when unit logging is on: every unit this worker *owns*.
     log: Option<Vec<WorkUnit>>,
+    /// `Some` while checkpoints are armed: the spec and the last checkpoint
+    /// written (or resumed from), plus the I/O total when it was written.
+    checkpoint: Option<(&'s CheckpointSpec, Checkpoint, u64)>,
 }
 
-impl ShardCursor {
-    /// The sequential cursor: one worker owning every unit. The sequential
-    /// drivers run with this — claims always succeed, so the sharded code
-    /// path is byte-for-byte the sequential one.
-    pub(crate) fn solo() -> ShardCursor {
-        ShardCursor::new(0, 1, false)
-    }
-
-    pub(crate) fn new(worker: usize, workers: usize, log_units: bool) -> ShardCursor {
+impl<'s> ShardCursor<'s> {
+    /// The cursor of worker `worker` of `workers`, emitting into `sink`.
+    pub(crate) fn new(
+        graph: &'s ExtGraph,
+        sink: &'s mut dyn TriangleSink,
+        worker: usize,
+        workers: usize,
+        log_units: bool,
+    ) -> Self {
         assert!(
             worker < workers,
             "worker {worker} out of range 0..{workers}"
         );
         ShardCursor {
+            graph,
+            sink,
+            emitted: 0,
             worker: worker as u64,
             workers: workers as u64,
-            log: log_units.then(Vec::new),
             next_unit: 0,
+            first_owned: 0,
+            log: log_units.then(Vec::new),
+            checkpoint: None,
+        }
+    }
+
+    /// The sequential cursor: one worker owning every unit.
+    pub(crate) fn solo(graph: &'s ExtGraph, sink: &'s mut dyn TriangleSink) -> Self {
+        ShardCursor::new(graph, sink, 0, 1, false)
+    }
+
+    /// The sequential cursor of a recoverable run of `algorithm`: resumed
+    /// after `resume`'s done prefix (from scratch when `None`), writing
+    /// checkpoints per `spec` (none when `None`).
+    pub(crate) fn recoverable(
+        graph: &'s ExtGraph,
+        sink: &'s mut dyn TriangleSink,
+        algorithm: Algorithm,
+        resume: Option<&Checkpoint>,
+        spec: Option<&'s CheckpointSpec>,
+    ) -> Self {
+        let machine = graph.machine();
+        let start = resume
+            .cloned()
+            .unwrap_or_else(|| Checkpoint::start(algorithm, graph.edge_count(), machine.config()));
+        ShardCursor {
+            emitted: start.hwm,
+            first_owned: start.units_done,
+            checkpoint: spec.map(|spec| (spec, start, machine.io().total())),
+            ..ShardCursor::solo(graph, sink)
         }
     }
 
     /// Ticks the unit counter and answers whether this worker owns the unit
-    /// just passed. Pure in-core bookkeeping: charges no I/O and no work, so
-    /// a solo cursor leaves the sequential accounting untouched.
+    /// just passed. Writes a due checkpoint first.
     pub(crate) fn claim(&mut self, kind: WorkUnitKind) -> bool {
         let index = self.next_unit;
         self.next_unit += 1;
-        let owned = index % self.workers == self.worker;
+        self.maybe_checkpoint(index);
+        let owned = index >= self.first_owned && index % self.workers == self.worker;
         if owned {
             if let Some(log) = &mut self.log {
                 log.push(WorkUnit { index, kind });
@@ -157,9 +215,45 @@ impl ShardCursor {
         owned
     }
 
+    /// Disarms checkpointing for the rest of the run. A driver calls this
+    /// once it holds output that only a later step emits (the
+    /// cache-oblivious batch of oversized leaves): a unit prefix cannot
+    /// describe such output, so no later checkpoint may claim it is done.
+    pub(crate) fn end_checkpoints(&mut self) {
+        self.checkpoint = None;
+    }
+
+    fn maybe_checkpoint(&mut self, index: u64) {
+        let Some((spec, last, last_io)) = &mut self.checkpoint else {
+            return;
+        };
+        let io = self.graph.machine().io().total();
+        if index <= last.units_done || io - *last_io < spec.interval_io {
+            return;
+        }
+        last.units_done = index;
+        last.hwm = self.emitted;
+        last.write_atomic(&spec.path)
+            .unwrap_or_else(|e| panic!("failed to write checkpoint {}: {e}", spec.path.display()));
+        *last_io = io;
+        self.sink.on_checkpoint();
+    }
+
+    /// Triangles emitted so far, including a resumed high-water mark.
+    pub(crate) fn emitted(&self) -> u64 {
+        self.emitted
+    }
+
     /// The units this worker owned (empty unless logging was requested).
     pub(crate) fn into_log(self) -> Vec<WorkUnit> {
         self.log.unwrap_or_default()
+    }
+}
+
+impl TriangleSink for ShardCursor<'_> {
+    fn emit(&mut self, t: Triangle) {
+        self.emitted += 1;
+        self.sink.emit(self.graph.translate(t));
     }
 }
 
@@ -168,10 +262,6 @@ impl ShardCursor {
 pub struct ShardPlan {
     /// Number of workers `P` (threads, each with its own [`Machine`]).
     pub workers: usize,
-    /// Depth of the cache-oblivious refinement tree at which whole subtrees
-    /// become work units (ignored by the cache-aware drivers). The tree
-    /// above this depth is replicated on every worker.
-    pub spawn_depth: usize,
     /// When set, each worker records the units it owned; they come back in
     /// [`ShardedReport::worker_units`]. Off by default (the log is
     /// proportional to the unit count).
@@ -185,20 +275,13 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// A plan with `workers` workers and the default spawn depth.
+    /// A plan with `workers` in-memory workers and no unit log.
     pub fn new(workers: usize) -> ShardPlan {
         ShardPlan {
             workers,
-            spawn_depth: DEFAULT_SPAWN_DEPTH,
             log_units: false,
             backend: BackendKind::InMemory,
         }
-    }
-
-    /// Overrides the cache-oblivious spawn depth.
-    pub fn with_spawn_depth(mut self, spawn_depth: usize) -> ShardPlan {
-        self.spawn_depth = spawn_depth;
-        self
     }
 
     /// Turns on per-worker unit logging.
@@ -232,15 +315,6 @@ pub enum ShardConfigError {
         /// [`Algorithm::name`] of the rejected algorithm.
         name: &'static str,
     },
-    /// A [`CheckpointSpec`] was supplied: checkpoint frontiers are
-    /// per-machine, and the sharded scheduler does not (yet) compose
-    /// per-worker frontier files into one resumable state. Use
-    /// [`crate::enumerate_triangles_with_recovery`] for crash-safe
-    /// (sequential) runs.
-    CheckpointUnsupported {
-        /// The worker count of the rejected plan.
-        workers: usize,
-    },
 }
 
 impl std::fmt::Display for ShardConfigError {
@@ -249,13 +323,6 @@ impl std::fmt::Display for ShardConfigError {
             ShardConfigError::ZeroWorkers => write!(f, "a sharded run needs at least one worker"),
             ShardConfigError::UnsupportedAlgorithm { name } => {
                 write!(f, "algorithm {name} has no work-unit decomposition; only the paper's drivers run sharded")
-            }
-            ShardConfigError::CheckpointUnsupported { workers } => {
-                write!(
-                    f,
-                    "checkpointing does not compose with {workers}-worker sharding: checkpoint \
-                     frontiers are per-machine; use enumerate_triangles_with_recovery instead"
-                )
             }
         }
     }
@@ -295,16 +362,8 @@ pub struct ShardedReport {
 struct WorkerRun {
     worker: usize,
     triangles: Vec<Triangle>,
-    io: IoStats,
-    work_ops: u64,
-    peak_mem_words: u64,
-    peak_disk_words: u64,
-    phases: Vec<(String, IoStats)>,
-    phase_peaks: Vec<PhaseSnapshot>,
-    extra: Vec<(String, f64)>,
+    report: RunReport,
     units: Vec<WorkUnit>,
-    edges: usize,
-    vertices: usize,
 }
 
 /// Enumerates every triangle of `graph` across `plan.workers` worker
@@ -320,7 +379,9 @@ struct WorkerRun {
 /// entry points, which deliver in driver emission order.
 ///
 /// Only the paper's three drivers are supported; baselines return
-/// [`ShardConfigError::UnsupportedAlgorithm`].
+/// [`ShardConfigError::UnsupportedAlgorithm`]. Sharded runs do not
+/// checkpoint: crash recovery covers sequential runs
+/// ([`crate::enumerate_triangles_with_recovery`]).
 pub fn enumerate_triangles_sharded(
     graph: &Graph,
     algorithm: Algorithm,
@@ -328,31 +389,8 @@ pub fn enumerate_triangles_sharded(
     plan: ShardPlan,
     sink: &mut dyn TriangleSink,
 ) -> Result<ShardedReport, ShardConfigError> {
-    enumerate_triangles_sharded_with_checkpoint(graph, algorithm, cfg, plan, sink, None)
-}
-
-/// [`enumerate_triangles_sharded`] with an explicit checkpoint argument —
-/// which the scheduler **rejects** with a typed error whenever a spec is
-/// supplied: checkpoint frontiers are per-machine, and composing `P`
-/// per-worker frontier files into one resumable state is not implemented.
-/// The argument exists so callers migrating from
-/// [`crate::enumerate_triangles_with_recovery`] get a compile-visible,
-/// typed answer instead of a silently ignored spec.
-pub fn enumerate_triangles_sharded_with_checkpoint(
-    graph: &Graph,
-    algorithm: Algorithm,
-    cfg: EmConfig,
-    plan: ShardPlan,
-    sink: &mut dyn TriangleSink,
-    checkpoint: Option<&CheckpointSpec>,
-) -> Result<ShardedReport, ShardConfigError> {
     if plan.workers == 0 {
         return Err(ShardConfigError::ZeroWorkers);
-    }
-    if checkpoint.is_some() {
-        return Err(ShardConfigError::CheckpointUnsupported {
-            workers: plan.workers,
-        });
     }
     if !algorithm.is_paper_algorithm() {
         return Err(ShardConfigError::UnsupportedAlgorithm {
@@ -363,7 +401,7 @@ pub fn enumerate_triangles_sharded_with_checkpoint(
     let runs = run_worker_pool(graph, algorithm, cfg, plan);
     let (triangles, merge_io) = merge_worker_triangles(cfg, &runs, sink);
     // emlint: allow(unleased, reason = "P per-worker stat rows of scheduler bookkeeping, not algorithm memory")
-    let workers = WorkerReport::from_per_worker(runs.iter().map(|r| r.io).collect());
+    let workers = WorkerReport::from_per_worker(runs.iter().map(|r| r.report.io).collect());
     let report = merged_report(algorithm, cfg, &runs, &workers, merge_io, triangles);
     // emlint: allow(unleased, reason = "unit-log handover to the report, scheduler bookkeeping")
     let worker_units = runs.into_iter().map(|r| r.units).collect();
@@ -409,8 +447,8 @@ fn run_worker_pool(
 }
 
 /// One worker: its own machine from the shared `Copy` config, its own graph
-/// load (uncharged, as in the model), its own gauge/recorder, and the
-/// driver replayed under this worker's shard cursor.
+/// load (uncharged, as in the model), and the driver replayed under this
+/// worker's shard cursor.
 fn run_worker(
     graph: &Graph,
     algorithm: Algorithm,
@@ -420,97 +458,15 @@ fn run_worker(
 ) -> WorkerRun {
     let machine = Machine::with_backend(cfg, plan.backend);
     let ext = ExtGraph::load(&machine, graph);
-    machine.cold_cache();
-    machine.gauge().reset_peak();
-    let before = machine.stats();
-
-    let mut recorder = PhaseRecorder::new(machine.gauge());
-    let mut cursor = ShardCursor::new(worker, plan.workers, plan.log_units);
     let mut collected = CollectingSink::new();
-    // emlint: allow(unleased, reason = "run-report bookkeeping outside the measured region, not algorithm memory")
-    let mut extra: Vec<(String, f64)> = Vec::new();
-    {
-        let mut translating = TranslatingSink {
-            graph: &ext,
-            inner: &mut collected,
-        };
-        match algorithm {
-            Algorithm::CacheAwareRandomized { seed } => {
-                let out = cache_aware::run_cache_aware_randomized_sharded(
-                    &ext,
-                    cfg,
-                    seed,
-                    &mut translating,
-                    &mut recorder,
-                    &mut cursor,
-                );
-                extra.push(("colors".into(), out.colors as f64));
-                extra.push(("x_statistic".into(), out.x_statistic as f64));
-                extra.push((
-                    "high_degree_vertices".into(),
-                    out.high_degree_vertices as f64,
-                ));
-                extra.push(("step3_chunk_passes".into(), out.step3_chunk_passes as f64));
-            }
-            Algorithm::DeterministicCacheAware {
-                family_seed,
-                candidates,
-            } => {
-                let (out, info) = derandomized::run_derandomized_sharded(
-                    &ext,
-                    cfg,
-                    family_seed,
-                    candidates,
-                    &mut translating,
-                    &mut recorder,
-                    &mut cursor,
-                );
-                extra.push(("colors".into(), info.colors as f64));
-                extra.push(("x_statistic".into(), out.x_statistic as f64));
-                extra.push(("greedy_levels".into(), info.levels as f64));
-                extra.push(("candidates_per_level".into(), info.candidates as f64));
-                extra.push(("step3_chunk_passes".into(), out.step3_chunk_passes as f64));
-            }
-            Algorithm::CacheObliviousRandomized { seed } => {
-                let (_, stats) = cache_oblivious::run_cache_oblivious_sharded(
-                    &ext,
-                    seed,
-                    &mut translating,
-                    &mut recorder,
-                    &mut cursor,
-                    plan.spawn_depth,
-                );
-                extra.push(("subproblems".into(), stats.subproblems as f64));
-                extra.push(("max_recursion_depth".into(), stats.max_depth as f64));
-                extra.push((
-                    "high_degree_truncations".into(),
-                    stats.high_degree_truncations as f64,
-                ));
-                extra.push(("partition_sweeps".into(), stats.partition_sweeps as f64));
-            }
-            // Rejected by validation before the pool spawns.
-            Algorithm::HuTaoChung | Algorithm::SortBased | Algorithm::BlockNestedLoop => {
-                unreachable!("baselines are rejected before the pool starts")
-            }
-        }
-    }
-
-    let after = machine.stats();
-    let delta = after.since(&before);
-    let (phases, phase_peaks) = recorder.into_parts();
+    let mut cursor = ShardCursor::new(&ext, &mut collected, worker, plan.workers, plan.log_units);
+    let report = run_measured(&ext, algorithm, &mut cursor);
+    let units = cursor.into_log();
     WorkerRun {
         worker,
         triangles: collected.into_triangles(),
-        io: delta.io,
-        work_ops: delta.work_ops,
-        peak_mem_words: after.peak_mem_words,
-        peak_disk_words: after.peak_disk_words,
-        phases,
-        phase_peaks,
-        extra,
-        units: cursor.into_log(),
-        edges: ext.edge_count(),
-        vertices: ext.vertex_count(),
+        report,
+        units,
     }
 }
 
@@ -561,7 +517,7 @@ fn merged_report(
     let mut phases: Vec<(String, IoStats)> = Vec::new();
     // emlint: allow(unleased, reason = "run-report bookkeeping outside the measured region, not algorithm memory")
     let mut phase_peaks: Vec<PhaseSnapshot> = Vec::new();
-    for run in runs {
+    for run in runs.iter().map(|r| &r.report) {
         for (name, io) in &run.phases {
             match phases.iter_mut().find(|(n, _)| n == name) {
                 Some((_, sum)) => *sum += *io,
@@ -582,7 +538,8 @@ fn merged_report(
     // Worker 0's extras stand for the run (the seed-derived rows — colours,
     // X_ξ, greedy levels — are identical on every worker; the per-worker
     // counters are in `ShardedReport::workers`), followed by the aggregates.
-    let mut extra = runs[0].extra.clone();
+    let first = &runs[0].report;
+    let mut extra = first.extra.clone();
     extra.push(("workers".into(), runs.len() as f64));
     extra.push(("max_worker_io".into(), workers.max_io as f64));
     extra.push(("sum_worker_io".into(), workers.sum_io as f64));
@@ -592,15 +549,23 @@ fn merged_report(
     RunReport {
         algorithm: algorithm.name().to_string(),
         config: cfg,
-        edges: runs[0].edges,
-        vertices: runs[0].vertices,
+        edges: first.edges,
+        vertices: first.vertices,
         triangles,
-        io: IoStats::merge(runs.iter().map(|r| r.io)),
+        io: IoStats::merge(runs.iter().map(|r| r.report.io)),
         phases,
         phase_peaks,
-        peak_mem_words: runs.iter().map(|r| r.peak_mem_words).max().unwrap_or(0),
-        peak_disk_words: runs.iter().map(|r| r.peak_disk_words).max().unwrap_or(0),
-        work_ops: runs.iter().map(|r| r.work_ops).sum(),
+        peak_mem_words: runs
+            .iter()
+            .map(|r| r.report.peak_mem_words)
+            .max()
+            .unwrap_or(0),
+        peak_disk_words: runs
+            .iter()
+            .map(|r| r.report.peak_disk_words)
+            .max()
+            .unwrap_or(0),
+        work_ops: runs.iter().map(|r| r.report.work_ops).sum(),
         extra,
     }
 }
@@ -722,27 +687,38 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_spec_is_rejected_with_a_typed_error() {
-        let g = generators::erdos_renyi(50, 200, 1);
-        let cfg = EmConfig::new(256, 32);
+    fn a_resumed_cursor_disowns_its_prefix_and_never_checkpoints_inside_it() {
+        // A checkpoint written at or below the resumed prefix would claim
+        // done units undone while its hwm already counts their triangles —
+        // a later resume would deliver them twice.
+        let g = generators::erdos_renyi(30, 60, 2);
+        let machine = Machine::new(EmConfig::new(256, 32));
+        let ext = ExtGraph::load(&machine, &g);
+        let alg = Algorithm::CacheAwareRandomized { seed: 1 };
+        let dir = std::env::temp_dir().join(format!("trienum-prefix-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
         let spec = CheckpointSpec {
-            path: std::path::PathBuf::from("unused.ckpt"),
-            interval_io: 100,
+            path: dir.join("ckpt.json"),
+            interval_io: 0,
         };
-        for workers in [1usize, 4] {
-            let mut sink = CollectingSink::new();
-            let err = enumerate_triangles_sharded_with_checkpoint(
-                &g,
-                Algorithm::CacheObliviousRandomized { seed: 1 },
-                cfg,
-                ShardPlan::new(workers),
-                &mut sink,
-                Some(&spec),
-            )
-            .expect_err("checkpointing must not silently combine with sharding");
-            assert_eq!(err, ShardConfigError::CheckpointUnsupported { workers });
-            assert_eq!(sink.len(), 0, "no partial results on a config error");
-        }
+        let resume = Checkpoint {
+            units_done: 5,
+            hwm: 7,
+            ..Checkpoint::start(alg, ext.edge_count(), machine.config())
+        };
+        let mut sink = CollectingSink::new();
+        let mut cursor = ShardCursor::recoverable(&ext, &mut sink, alg, Some(&resume), Some(&spec));
+        let kind = WorkUnitKind::PivotPair { t2: 0, t3: 0 };
+        let owned: Vec<bool> = (0..6).map(|_| cursor.claim(kind)).collect();
+        assert_eq!(owned, [false, false, false, false, false, true]);
+        assert!(
+            !spec.path.exists(),
+            "checkpoint written inside the done prefix"
+        );
+        assert!(cursor.claim(kind));
+        let ck = Checkpoint::load(&spec.path).expect("a checkpoint past the prefix");
+        assert_eq!((ck.units_done, ck.hwm), (6, 7));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -774,10 +750,6 @@ mod tests {
                 name: "hu-tao-chung"
             }
         );
-        let err = ShardConfigError::CheckpointUnsupported { workers: 2 };
-        assert!(err
-            .to_string()
-            .contains("enumerate_triangles_with_recovery"));
     }
 
     #[test]

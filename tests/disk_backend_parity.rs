@@ -143,7 +143,8 @@ fn transient_faults_over_the_disk_backend_account_like_memory() {
     let run = |backend: BackendKind| {
         let machine = Machine::with_faults_and_backend(cfg, plan, backend);
         let mut sink = CollectingSink::new();
-        let report = enumerate_triangles_with_recovery(&g, &machine, 0xA11CE, &mut sink, None);
+        let alg = Algorithm::CacheObliviousRandomized { seed: 0xA11CE };
+        let report = enumerate_triangles_with_recovery(&g, &machine, alg, &mut sink, None);
         let mut triangles = sink.into_triangles();
         triangles.sort_unstable();
         (triangles, report.io, machine.stats(), machine.fault_trace())
