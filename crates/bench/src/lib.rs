@@ -2,13 +2,11 @@
 //!
 //! The paper is a theory paper with no measured tables or figures; the
 //! "evaluation" this crate reproduces is therefore the set of quantitative
-//! claims made by its theorems (see DESIGN.md §6 and EXPERIMENTS.md). Each
-//! experiment is a function returning printable rows, shared between
-//!
-//! * the `reproduce` binary (`cargo run --release -p trienum-bench --bin
-//!   reproduce`), which regenerates every table in EXPERIMENTS.md, and
-//! * the Criterion benches (`cargo bench`), which additionally measure
-//!   wall-clock time of the simulator runs at a smaller scale.
+//! claims made by its theorems (see EXPERIMENTS.md). Each experiment is a
+//! function returning printable rows, which the `reproduce` binary (`cargo
+//! run --release -p trienum-bench --bin reproduce`) prints and records to
+//! regenerate every table in EXPERIMENTS.md. Host wall-clock time is
+//! measured by the separate `perfbench/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

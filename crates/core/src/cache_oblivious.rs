@@ -144,9 +144,14 @@ type LeafRecord = (u32, u32, u32, u32);
 /// lower bounds; `decrements` bounds the error (`count ≤ degree ≤ count +
 /// decrements`), and since `decrements ≤ stream/17 < E/8`, a vertex *not*
 /// in the summary can never be high-degree.
+///
+/// The counters live inline in a fixed array (the first `len` slots, in
+/// insertion order): a summary is a plain value with no heap storage, and
+/// the decrement step compacts the survivors in place.
 #[derive(Default)]
 struct HeavyHitters {
-    counters: Vec<(VertexId, u64)>,
+    counters: [(VertexId, u64); MAX_LOCAL_HIGH_DEGREE],
+    len: usize,
     decrements: u64,
 }
 
@@ -154,20 +159,34 @@ impl HeavyHitters {
     /// In-core footprint in words (for gauge accounting).
     const WORDS: u64 = 2 * MAX_LOCAL_HIGH_DEGREE as u64 + 1;
 
+    /// The live counters, in insertion order.
+    fn counters(&self) -> &[(VertexId, u64)] {
+        &self.counters[..self.len]
+    }
+
     fn feed(&mut self, v: VertexId) {
-        if let Some(c) = self.counters.iter_mut().find(|(x, _)| *x == v) {
+        let live = &mut self.counters[..self.len];
+        if let Some(c) = live.iter_mut().find(|(x, _)| *x == v) {
             c.1 += 1;
             return;
         }
-        if self.counters.len() < MAX_LOCAL_HIGH_DEGREE {
-            self.counters.push((v, 1));
+        if self.len < MAX_LOCAL_HIGH_DEGREE {
+            self.counters[self.len] = (v, 1);
+            self.len += 1;
             return;
         }
+        // Decrement every counter and drop the ones that reach zero,
+        // compacting the survivors in order.
         self.decrements += 1;
-        for c in &mut self.counters {
-            c.1 -= 1;
+        let mut kept = 0;
+        for i in 0..self.len {
+            let (x, n) = self.counters[i];
+            if n > 1 {
+                self.counters[kept] = (x, n - 1);
+                kept += 1;
+            }
         }
-        self.counters.retain(|&(_, n)| n > 0);
+        self.len = kept;
     }
 
     fn feed_edge(&mut self, e: &Edge) {
@@ -193,7 +212,7 @@ impl HeavyHitters {
     /// scan.
     fn possible_high(&self, e_here: usize) -> Vec<VertexId> {
         let mut out: Vec<VertexId> = self
-            .counters
+            .counters()
             .iter()
             .filter(|&&(_, n)| 8 * (n + self.decrements) >= e_here as u64)
             .map(|&(v, _)| v)
@@ -297,8 +316,9 @@ pub(crate) fn run_cache_oblivious(
 
     // The per-level refinement bits: one 4-wise independent function per tree
     // depth, derived from the seed by a fixed splitmix sequence. Memoised —
-    // the recursion queries every endpoint's colour at every level, and the
-    // memo's in-core footprint is tracked on the gauge through
+    // the routing scans query every endpoint's colour at every level (at most
+    // two bits each, see `RefinedColoring::child_color`), and the memo's
+    // in-core footprint is tracked on the gauge through
     // `ctx.bit_cache_lease`.
     let mut bit_seed = seed;
     let mut coloring = RefinedColoring::memoised();
@@ -480,7 +500,7 @@ fn child_vectors(target: ColorVector) -> [ColorVector; CHILDREN] {
 /// onto the memory gauge, every vertex's out-neighbour run yields its
 /// wedges, and each wedge is closed by binary search in the list itself. No
 /// wedge file, no sort — the only I/O is the one charged read of the
-/// segment.
+/// segment. The segment holds at most [`BASE_CASE_EDGES`] edges.
 fn solve_leaf_in_core(
     machine: &Machine,
     segment: impl Iterator<Item = Edge>,
@@ -488,12 +508,15 @@ fn solve_leaf_in_core(
     sink: &mut dyn TriangleSink,
 ) {
     let mut lease = machine.gauge().lease(0);
-    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let mut buf = [(0u32, 0u32); BASE_CASE_EDGES];
+    let mut len = 0;
     for e in segment {
         machine.work(1);
-        edges.push((e.u, e.v));
+        buf[len] = (e.u, e.v);
+        len += 1;
         lease.grow(1);
     }
+    let edges = &buf[..len];
     debug_assert!(edges.windows(2).all(|w| w[0] <= w[1]));
     let probe_cost = 1 + edges.len().max(2).ilog2() as u64;
     let mut i = 0;
@@ -637,7 +660,10 @@ struct PendingNode {
 
 /// One frame of the explicit stack. `Release` marks where the old recursion
 /// dropped a parent's child-summaries gauge lease (after its whole subtree),
-/// keeping the gauge accounting identical frame for frame.
+/// keeping the gauge accounting identical frame for frame. A `Node` frame
+/// carries its heavy-hitter summary inline; boxing it would put one heap
+/// allocation per child back on the routing path.
+#[allow(clippy::large_enum_variant)]
 enum Frame {
     Node(PendingNode),
     Release(MemLease),
@@ -763,11 +789,12 @@ fn process_node(
     // own partition sweep), child degree summaries fed en passant. ----
     ctx.partition_sweeps += 1;
     let children = child_vectors(target);
+    let (c0, c1, c2) = target;
     // The summaries stay resident until the last child consumes its own, so
     // the lease must span the whole subtree below this node: it rides the
     // stack as a Release frame underneath the eight children.
     let summary_lease = machine.gauge().lease(CHILDREN as u64 * HeavyHitters::WORDS);
-    let mut summaries: Vec<HeavyHitters> = (0..CHILDREN).map(|_| HeavyHitters::default()).collect();
+    let mut summaries: [HeavyHitters; CHILDREN] = Default::default();
     let buckets = {
         let summaries = &mut summaries;
         let mut prev: Option<Edge> = None;
@@ -779,8 +806,10 @@ fn process_node(
                 "edge segment lost its inherited sort order"
             );
             prev = Some(*e);
-            let cu = coloring.color_at(e.u, depth + 1);
-            let cv = coloring.color_at(e.v, depth + 1);
+            // Every edge here is compatible with `target`, so its smaller
+            // endpoint is coloured c0 or c1 and its larger one c1 or c2.
+            let cu = coloring.child_color(e.u, depth, c0, c1);
+            let cv = coloring.child_color(e.v, depth, c1, c2);
             let mut mask = 0u32;
             for (i, &child) in children.iter().enumerate() {
                 if pair_compatible(cu, cv, child) {
@@ -931,6 +960,101 @@ mod tests {
         let sq = HeavyHitters::of_stream(&machine, vq.iter());
         let (high, _) = resolve_high_degree(&machine, &sq, quiet.len(), || vq.iter());
         assert!(high.is_empty());
+    }
+
+    /// The growable-list Misra–Gries summary the fixed-array
+    /// [`HeavyHitters`] replaced, kept as the reference it must match.
+    #[derive(Default)]
+    struct ReferenceHeavyHitters {
+        counters: Vec<(VertexId, u64)>,
+        decrements: u64,
+    }
+
+    impl ReferenceHeavyHitters {
+        fn feed(&mut self, v: VertexId) {
+            if let Some(c) = self.counters.iter_mut().find(|(x, _)| *x == v) {
+                c.1 += 1;
+                return;
+            }
+            if self.counters.len() < MAX_LOCAL_HIGH_DEGREE {
+                self.counters.push((v, 1));
+                return;
+            }
+            self.decrements += 1;
+            for c in &mut self.counters {
+                c.1 -= 1;
+            }
+            self.counters.retain(|&(_, n)| n > 0);
+        }
+
+        fn possible_high(&self, e_here: usize) -> Vec<VertexId> {
+            let mut out: Vec<VertexId> = self
+                .counters
+                .iter()
+                .filter(|&&(_, n)| 8 * (n + self.decrements) >= e_here as u64)
+                .map(|&(v, _)| v)
+                .collect();
+            out.sort_unstable();
+            out
+        }
+    }
+
+    #[test]
+    fn fixed_array_heavy_hitters_match_the_reference_summary() {
+        let mut state = 5u64;
+        let mut streams: Vec<Vec<VertexId>> = Vec::new();
+        // Uniform streams over alphabets below, at and above the 16 counters.
+        for alphabet in [3u64, 16, 17, 24, 100, 5000] {
+            streams.push(
+                (0..3000)
+                    .map(|_| (splitmix(&mut state) % alphabet) as u32)
+                    .collect(),
+            );
+        }
+        // A skewed stream: one hub in every third position among noise.
+        streams.push(
+            (0..3000)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        7
+                    } else {
+                        (splitmix(&mut state) % 400) as u32
+                    }
+                })
+                .collect(),
+        );
+        // Churn: cycling through more distinct vertices than there are
+        // counters makes every 17th feed a decrement round.
+        for distinct in [17u32, 20, 33] {
+            streams.push((0..3000).map(|i| i % distinct).collect());
+        }
+        for (s, stream) in streams.iter().enumerate() {
+            let mut fixed = HeavyHitters::default();
+            let mut reference = ReferenceHeavyHitters::default();
+            for (i, &v) in stream.iter().enumerate() {
+                fixed.feed(v);
+                reference.feed(v);
+                assert_eq!(
+                    fixed.counters(),
+                    &reference.counters[..],
+                    "stream {s}, feed {i}"
+                );
+                assert_eq!(
+                    fixed.decrements, reference.decrements,
+                    "stream {s}, feed {i}"
+                );
+                let e_here = (i + 2) / 2;
+                assert_eq!(
+                    fixed.possible_high(e_here),
+                    reference.possible_high(e_here),
+                    "stream {s}, feed {i}"
+                );
+            }
+            assert!(
+                s < 6 || reference.decrements > 0,
+                "stream {s} never reached a decrement round"
+            );
+        }
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! Lemma 3), which is what Theorem 4's analysis needs, so the deterministic
 //! algorithm inherits the `O(E^{3/2}/(√M·B))` bound under `M ≥ E^ε`.
 //!
-//! See DESIGN.md §5 for the documented substitution in how the candidate
-//! family is generated; the greedy selection and the per-level inequality are
-//! implemented exactly as in the paper, and the final `X_ξ` is measured and
-//! reported so the guarantee is verified on every run.
+//! The candidate family is generated differently from the paper (see
+//! [`kwise::BitFunctionFamily`]); the greedy selection and the per-level
+//! inequality are implemented exactly as in the paper, and the final `X_ξ` is
+//! measured and reported so the guarantee is verified on every run.
 
 use emsim::{EmConfig, IoStats};
 use kwise::{BitFunctionFamily, RefinedColoring};

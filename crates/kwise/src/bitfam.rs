@@ -6,14 +6,19 @@ use crate::fourwise::FourWise;
 /// derandomization (paper Section 4) picks, at every refinement level, the
 /// function minimising the colour-balance potential of inequality (4).
 ///
+/// # Substitution for the paper's explicit family
+///
 /// The paper instantiates the family with the explicit almost-4-wise
-/// independent construction of Alon et al. (`t = O((log V / α)²)` functions).
-/// Here each candidate is a seeded 4-wise independent bit function; the
-/// greedy step evaluates the **exact** potential of every candidate (one scan
-/// of the edge list, as in the paper) and the final colouring quality
-/// `X_ξ ≤ e·E·M` is verified by the caller, so the combinatorial guarantee is
-/// checked at run time rather than inherited from the family's fine print.
-/// See DESIGN.md §5.
+/// independent (small-bias) construction of Alon–Goldreich–Håstad–Peralta
+/// (`t = O((log V / α)²)` functions). Here each candidate is a seeded 4-wise
+/// independent bit function instead, with a family size modelled on
+/// Lemma 6's (see [`BitFunctionFamily::recommended_size`]). Nothing in the
+/// analysis is taken on trust from that substitution: the greedy step
+/// evaluates the **exact** potential of every candidate (one scan of the edge
+/// list, as in the paper) and keeps the minimiser, and the final colouring
+/// quality `X_ξ ≤ e·E·M` is measured and reported by the caller, so the
+/// combinatorial guarantee is checked at run time rather than inherited from
+/// the family's fine print.
 #[derive(Debug, Clone)]
 pub struct BitFunctionFamily {
     funcs: Vec<FourWise>,

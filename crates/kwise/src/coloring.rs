@@ -47,14 +47,14 @@ impl RandomColoring {
 ///
 /// A memoised colouring (built with [`RefinedColoring::memoised`])
 /// additionally caches, per level, the bits it has already evaluated
-/// (`vertex → bit`), so repeated `color`/`bit` queries for the same vertex —
-/// the cache-oblivious recursion asks for every endpoint's colour at every
-/// level — cost a table lookup instead of re-running the whole degree-3
-/// polynomial chain. The memo is a transparent cache over a pure function of
-/// the stored coefficients: dropping it (or overflowing [`BIT_CACHE_LIMIT`],
-/// which clears the level) never changes any colour. Memoisation is
-/// **opt-in** because the memo is real in-core state: a caller on a
-/// simulated machine must account its footprint (via
+/// (`vertex → bit`), so a repeated `bit` query for the same vertex — the
+/// cache-oblivious recursion asks for every endpoint's child colour at every
+/// level (see [`RefinedColoring::child_color`]) — costs a table lookup
+/// instead of a degree-3 polynomial evaluation. The memo is a transparent
+/// cache over a pure function of the stored coefficients: dropping it (or
+/// overflowing [`BIT_CACHE_LIMIT`], which clears the level) never changes
+/// any colour. Memoisation is **opt-in** because the memo is real in-core
+/// state: a caller on a simulated machine must account its footprint (via
 /// [`RefinedColoring::cached_bits`]) on the memory gauge, and callers that
 /// cannot afford a per-vertex table (the derandomized cache-aware driver)
 /// stay on the default recompute-from-`O(depth)`-words behaviour.
@@ -73,7 +73,7 @@ const BIT_CACHE_LIMIT: usize = 1 << 17;
 #[derive(Debug, Clone)]
 struct BitLevel {
     f: FourWise,
-    // emlint: allow(uncharged-std, reason = "opt-in evaluation memo, bounded by BIT_CACHE_LIMIT and leased by the cache-aware caller; correctness never depends on it")
+    // emlint: allow(uncharged-std, reason = "opt-in evaluation memo, bounded by BIT_CACHE_LIMIT and leased on the gauge by the cache-oblivious driver, its one simulated caller; correctness never depends on it")
     memo: Option<RefCell<HashMap<u32, bool>>>,
 }
 
@@ -195,6 +195,48 @@ impl RefinedColoring {
             c = 2 * c - u64::from(level.bit(v));
         }
         c
+    }
+
+    /// The depth-`depth + 1` colour of vertex `v`, given that its depth-`depth`
+    /// colour is `a` or `b` — the query shape of the cache-oblivious routing
+    /// scan, where an edge of a subproblem with target `(c0, c1, c2)` has its
+    /// smaller endpoint coloured `c0` or `c1` and its larger one `c1` or `c2`.
+    ///
+    /// Unrolling the refinement gives the closed form `c_d = 2^d − P`, where
+    /// `P` is the `d` path bits `b_0 … b_{d−1}` read MSB-first. So when
+    /// `a ≠ b`, one bit at the first level where their paths differ settles
+    /// the parent colour, and one more bit (level `depth`) gives the child:
+    /// at most two bit evaluations instead of [`RefinedColoring::color_at`]'s
+    /// `depth + 1`.
+    ///
+    /// `a` and `b` must be depth-`depth` colours, i.e. lie in
+    /// `[1, 2^depth]`, and one of them must be `v`'s. Otherwise a debug build
+    /// panics and a release build returns a meaningless colour (or panics).
+    pub fn child_color(&self, v: u32, depth: usize, a: u64, b: u64) -> u64 {
+        let parent = if a == b {
+            a
+        } else {
+            let (pa, pb) = ((1u64 << depth) - a, (1u64 << depth) - b);
+            // The highest differing path bit, as a position in `P` (LSB = 0)
+            // and as the refinement level that chose it.
+            let k = 63 - (pa ^ pb).leading_zeros() as usize;
+            if self.bit(depth - 1 - k, v) == ((pa >> k) & 1 == 1) {
+                a
+            } else {
+                b
+            }
+        };
+        let child = 2 * parent - u64::from(self.bit(depth, v));
+        // Checked against the full prefix walk evaluated past the memo, so a
+        // debug build memoises exactly the bits a release build does.
+        debug_assert_eq!(
+            child,
+            self.levels[..=depth]
+                .iter()
+                .fold(1, |c, l| 2 * c - u64::from(l.f.eval_bit(u64::from(v)))),
+            "vertex {v}: depth-{depth} colour is neither {a} nor {b}"
+        );
+        child
     }
 
     /// The bit chosen for vertex `v` at refinement level `i` (0-based).
@@ -331,6 +373,36 @@ mod tests {
         for v in 0..64u32 {
             assert_eq!(full.color_at(v, 4), full.color(v));
             assert_eq!(full.color_at(v, 0), 1);
+        }
+    }
+
+    #[test]
+    fn child_color_agrees_with_the_full_prefix_walk() {
+        // Every depth 0..=10, with `(a, b)` the true depth-d colour paired with
+        // itself and with every other depth-d colour, in both orders.
+        for seed in [1u64, 7, 42, 1234, 99_991] {
+            let fam = crate::BitFunctionFamily::new(11, seed);
+            let mut r = RefinedColoring::identity();
+            r.push_batch((0..11).map(|i| fam.function(i)));
+            for depth in 0..=10usize {
+                for v in (0..40u32).chain([1 << 20, u32::MAX - 3, u32::MAX]) {
+                    let truth = r.color_at(v, depth);
+                    let child = r.color_at(v, depth + 1);
+                    assert_eq!(r.child_color(v, depth, truth, truth), child);
+                    for other in (1..=1u64 << depth).filter(|&c| c != truth) {
+                        assert_eq!(
+                            r.child_color(v, depth, truth, other),
+                            child,
+                            "seed {seed}, depth {depth}, vertex {v}, other {other}"
+                        );
+                        assert_eq!(
+                            r.child_color(v, depth, other, truth),
+                            child,
+                            "seed {seed}, depth {depth}, vertex {v}, other {other} first"
+                        );
+                    }
+                }
+            }
         }
     }
 
